@@ -3,7 +3,7 @@ quasiradial distance functions under nonisotropic dilations."""
 
 __version__ = "0.1.0"
 
-from .dilation import DilationGroup, matrix_power, orbit_tangent
+from .dilation import DilationGroup, orbit_tangent
 from .domains import (ConvexDomain, Disk, Superellipse, Polygon,
                       SampledDomain, regular_polygon, domain_from_config,
                       boundary_arc, BoundaryArc, smooth_approximate)

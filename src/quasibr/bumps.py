@@ -14,7 +14,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigError, ResolutionError
-from .quasinorm import frequency_grid, rho_omega_grid
+from .quasinorm import rho_omega_grid
 from .tiling import _wrap
 
 
@@ -35,13 +35,8 @@ def plateau(x):
     return smoothstep(2.0 * (1.0 - np.abs(np.asarray(x, dtype=float))))
 
 
-def phi(x):
-    """The mother cutoff (alias of plateau)."""
-    return plateau(x)
-
-
 def phi0(rho):
-    """phi(rho/2) - phi(rho): supported in [1/2, 2]; the dyadic pieces
+    """plateau(rho/2) - plateau(rho): supported in [1/2, 2]; the dyadic pieces
     phi0(2^-n rho) telescope to 1 on rho > 0."""
     rho = np.asarray(rho, dtype=float)
     return plateau(0.5 * rho) - plateau(rho)
@@ -200,21 +195,12 @@ class BumpLibrary(object):
         return radial * angular
 
 
-def sigma_eval(lib, pair, delta, indices, xi):
-    """Product-formula evaluation at points xi (spec'd entry point)."""
-    if lib.pair is not pair or abs(lib.delta - delta) > 1e-15:
-        raise ConfigError("bump library does not match (pair, delta)")
-    return lib.sigma_at(indices, xi)
-
-
-def annulus_cutoff(delta, Phi=None, t=1.0):
-    """Symbol rho -> Phi((rho/t - 1)/delta) of the annulus smoother psi_t."""
+def annulus_cutoff(delta, t):
+    """Symbol rho -> plateau((rho/t - 1)/delta) of the annulus smoother psi_t."""
     if t <= 0:
         raise ConfigError("scale t must be positive")
-    if Phi is None:
-        Phi = plateau
     def symbol(rho):
-        return Phi((np.asarray(rho, dtype=float) / t - 1.0) / delta)
+        return plateau((np.asarray(rho, dtype=float) / t - 1.0) / delta)
     return symbol
 
 

@@ -29,9 +29,6 @@ class CapDecomposition(object):
         self.Q = len(self.points) - 1
         self.Qprime = len(self.refined)
 
-    def interval_lengths(self):
-        return np.array([b - a for a, b in self.refined])
-
 
 DELTA_MAX = 2.0 ** -3  # smallness constant: admissible delta in (0, 1/8)
 

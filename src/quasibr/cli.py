@@ -18,15 +18,15 @@ from . import __version__
 from .bumps import BumpLibrary, full_annulus_symbol, kernel_build, \
     kernel_from_rho_symbol, plateau
 from .caps import decompose
-from .domains import boundary_arc, domain_from_config, Disk
+from .dilation import DilationGroup
+from .domains import boundary_arc, domain_from_config
 from .errors import ConfigError, GeometryError, ResolutionError, \
     ThresholdFailure
 from .grid import GridField, bochner_riesz_mean, delta_scaling_experiment, \
     hormander_sobolev_norm, square_function_glambda, standard_family
-from .lwp import tile_projection_square_function, \
-    dyadic_projection_square_function
+from .lwp import tile_projection_square_function
 from .maximal import RectangleFamily, focusing_function, kernel_maximal, \
-    nikodym_maximal, weak11_probe
+    nikodym_maximal
 from .quasinorm import check_compatibility, rho_omega_grid
 from .tiling import Tiling, count_sum_overlaps, active_time_measure
 
@@ -49,10 +49,8 @@ def _config_hash(cfg):
 def _build_pair(cfg):
     dom_cfg = cfg.get("domain", {"type": "disk", "radius": 10.0})
     domain = domain_from_config(dom_cfg)
-    A = np.array(cfg.get("A", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
-    if A.shape != (2, 2):
-        raise ConfigError("A must be a 2x2 matrix")
-    return check_compatibility(domain, A)
+    return check_compatibility(
+        domain, DilationGroup(cfg.get("A", [[1.0, 0.0], [0.0, 1.0]])))
 
 
 def _parse_deltas(text):
@@ -258,8 +256,7 @@ def cmd_glambda_probe(args, cfg):
 def cmd_maximal_growth(args, cfg):
     group = None
     if "A" in cfg:
-        from .dilation import DilationGroup
-        group = DilationGroup(np.array(cfg["A"], dtype=float))
+        group = DilationGroup(cfg["A"])
     rows = []
     for Nd in args.Ns:
         lam = args.lam if args.lam is not None else 1.0 / Nd
@@ -282,7 +279,10 @@ def cmd_maximal_growth(args, cfg):
     return 0
 
 
-def cmd_kernel_maximal_probe(args, cfg):
+def _sector0_probe_rows(args, cfg, operator):
+    """(delta, ||operator f||_2 / ||f||_2) per delta, f a random-phase
+    spectrum on |rho - 1| < delta inside sector 0 of the tiling, and the
+    fitted exponent in 1/delta."""
     pair = _build_pair(cfg)
     N, L = args.grid
     rho, omega = rho_omega_grid(pair, N, L)
@@ -290,7 +290,6 @@ def cmd_kernel_maximal_probe(args, cfg):
     rows = []
     for delta in args.deltas:
         tiling = Tiling(pair, delta)
-        lib = BumpLibrary(tiling)
         sec = tiling.sectors[0]
         span = np.mod(sec.omega_end - sec.omega_start, 2 * np.pi)
         band = (np.abs(rho - 1.0) < delta) & \
@@ -299,46 +298,33 @@ def cmd_kernel_maximal_probe(args, cfg):
             raise ResolutionError("probe band empty; refine the grid")
         spec = np.where(band, np.exp(2j * np.pi * rng.random((N, N))), 0)
         f = GridField(N, L, spec, "frequency")
-        mf = kernel_maximal(pair, delta, f, lib)
-        rows.append((delta, mf.norm(2) / f.to_physical().norm(2)))
-    _write_csv(_out_path(args, "kernel_maximal.csv"), ["delta", "ratio"], rows)
+        out = operator(pair, delta, f, BumpLibrary(tiling))
+        rows.append((delta, out.norm(2) / f.to_physical().norm(2)))
     ld = np.log(1.0 / np.array([r[0] for r in rows]))
     lr = np.log([r[1] for r in rows])
     expo = float(np.polyfit(ld, lr, 1)[0]) if len(rows) > 1 else 0.0
+    return rows, expo
+
+
+def cmd_kernel_maximal_probe(args, cfg):
+    rows, expo = _sector0_probe_rows(args, cfg, kernel_maximal)
+    _write_csv(_out_path(args, "kernel_maximal.csv"), ["delta", "ratio"], rows)
     payload = {"deltas": args.deltas, "ratios": [r[1] for r in rows],
                "exponent": expo, "pass": bool(expo <= 0.1)}
     _write_json(_out_path(args, "kernel_maximal.json"), payload, cfg,
-                {"grid": [N, L], "seed": args.seed})
+                {"grid": list(args.grid), "seed": args.seed})
     if not payload["pass"]:
         raise ThresholdFailure("kernel maximal exponent %.3f > 0.1" % expo)
     return 0
 
 
 def cmd_lwp_probe(args, cfg):
-    pair = _build_pair(cfg)
-    N, L = args.grid
-    rho, omega = rho_omega_grid(pair, N, L)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for delta in args.deltas:
-        tiling = Tiling(pair, delta)
-        lib = BumpLibrary(tiling)
-        sec = tiling.sectors[0]
-        span = np.mod(sec.omega_end - sec.omega_start, 2 * np.pi)
-        band = (np.abs(rho - 1.0) < delta) & \
-            (np.mod(omega - sec.omega_start, 2 * np.pi) <= span)
-        spec = np.where(band, np.exp(2j * np.pi * rng.random((N, N))), 0)
-        f = GridField(N, L, spec, "frequency")
-        sq = tile_projection_square_function(pair, delta, f, lib)
-        rows.append((delta, sq.norm(2) / f.to_physical().norm(2)))
+    rows, expo = _sector0_probe_rows(args, cfg, tile_projection_square_function)
     _write_csv(_out_path(args, "lwp.csv"), ["delta", "ratio"], rows)
-    ld = np.log(1.0 / np.array([r[0] for r in rows]))
-    lr = np.log([r[1] for r in rows])
-    expo = float(np.polyfit(ld, lr, 1)[0]) if len(rows) > 1 else 0.0
     payload = {"deltas": args.deltas, "ratios": [r[1] for r in rows],
                "exponent": expo, "pass": bool(abs(expo) <= 0.1)}
     _write_json(_out_path(args, "lwp.json"), payload, cfg,
-                {"grid": [N, L], "seed": args.seed})
+                {"grid": list(args.grid), "seed": args.seed})
     if not payload["pass"]:
         raise ThresholdFailure("tile square function exponent %.3f" % expo)
     return 0

@@ -47,9 +47,14 @@ class DilationGroup(object):
     """
 
     def __init__(self, A):
-        A = np.asarray(A, dtype=float)
+        try:
+            A = np.asarray(A, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("A must be a 2x2 real matrix, got %r" % (A,))
         if A.shape != (2, 2):
             raise ConfigError("A must be a 2x2 real matrix, got shape %r" % (A.shape,))
+        if not np.all(np.isfinite(A)):
+            raise ConfigError("A must have finite entries, got %r" % (A.tolist(),))
         self.A = A
         eigvals = np.linalg.eigvals(A)
         self.eig_re = (float(eigvals[0].real), float(eigvals[1].real))
@@ -87,11 +92,6 @@ class DilationGroup(object):
         x = P[..., 0, 0] * xi[..., 0] + P[..., 0, 1] * xi[..., 1]
         y = P[..., 1, 0] * xi[..., 0] + P[..., 1, 1] * xi[..., 1]
         return np.stack([x, y], axis=-1)
-
-
-def matrix_power(group, t):
-    """exp(log(t) A); raises on t <= 0."""
-    return group.power(t)
 
 
 def orbit_tangent(group, xi, t=1.0):

@@ -19,6 +19,25 @@ from .errors import ConfigError, GeometryError
 BALL_RADIUS = 8.0
 
 
+def _finite(value, what):
+    """value as a finite float, or ConfigError."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be a number, got %r" % (what, value))
+    if not np.isfinite(value):
+        raise ConfigError("%s must be finite, got %r" % (what, value))
+    return value
+
+
+def _positive(value, what):
+    """value as a finite positive float, or ConfigError."""
+    value = _finite(value, what)
+    if value <= 0:
+        raise ConfigError("%s must be positive, got %r" % (what, value))
+    return value
+
+
 def _rot(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -86,9 +105,7 @@ class ConvexDomain(object):
 
 class Disk(ConvexDomain):
     def __init__(self, radius):
-        if radius <= 0:
-            raise ConfigError("disk radius must be positive")
-        self.radius = float(radius)
+        self.radius = _positive(radius, "disk radius")
 
     def radial(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), self.radius)
@@ -107,11 +124,11 @@ class Superellipse(ConvexDomain):
     """|x/a|^p + |y/b|^p <= 1 with p >= 2 (convex, smooth for p < inf)."""
 
     def __init__(self, a, b, p):
-        if a <= 0 or b <= 0:
-            raise ConfigError("superellipse semi-axes must be positive")
-        if p < 2:
+        self.a = _positive(a, "superellipse semi-axis a")
+        self.b = _positive(b, "superellipse semi-axis b")
+        self.p = _positive(p, "superellipse exponent")
+        if self.p < 2:
             raise ConfigError("superellipse exponent must be >= 2 for smooth convexity")
-        self.a, self.b, self.p = float(a), float(b), float(p)
 
     def _g(self, theta):
         return (np.abs(np.cos(theta) / self.a) ** self.p
@@ -136,9 +153,14 @@ class Polygon(ConvexDomain):
     is_polygon = True
 
     def __init__(self, vertices):
-        V = np.asarray(vertices, dtype=float)
+        try:
+            V = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("polygon vertices must be numbers, got %r" % (vertices,))
         if V.ndim != 2 or V.shape[1] != 2 or len(V) < 3:
             raise ConfigError("polygon needs a (k, 2) vertex array, k >= 3")
+        if not np.all(np.isfinite(V)):
+            raise ConfigError("polygon vertices must be finite")
         # normalize to counterclockwise order
         area2 = np.sum(V[:, 0] * np.roll(V[:, 1], -1) - np.roll(V[:, 0], -1) * V[:, 1])
         if area2 < 0:
@@ -280,7 +302,10 @@ def domain_from_config(cfg):
 
 
 def regular_polygon(k, circumradius, phase=0.0):
-    ang = phase + 2 * np.pi * np.arange(k) / k
+    if not isinstance(k, (int, np.integer)) or k < 3:
+        raise ConfigError("regular polygon needs an integer k >= 3, got %r" % (k,))
+    circumradius = _positive(circumradius, "circumradius")
+    ang = _finite(phase, "phase") + 2 * np.pi * np.arange(k) / k
     return Polygon(np.stack([circumradius * np.cos(ang),
                              circumradius * np.sin(ang)], axis=-1))
 
@@ -390,14 +415,6 @@ class BoundaryArc(object):
         t = np.asarray(t, dtype=float)
         frame = np.stack([t, self.u(t)], axis=-1)
         return frame @ self._Rinv.T
-
-    def outward_normal(self, t):
-        """Unit outward normal at (t, u(t)) in the domain's coordinates."""
-        t = np.asarray(t, dtype=float)
-        s = 0.5 * (self.gamma_left(t) + self.gamma_right(t))
-        n = np.stack([s, -np.ones_like(s)], axis=-1)
-        n /= np.hypot(n[..., 0], n[..., 1])[..., None]
-        return n @ self._Rinv.T
 
 
 def boundary_arc(domain, rotation):

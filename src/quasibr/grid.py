@@ -57,19 +57,6 @@ class GridField(object):
         return float((np.sum(v ** p) * cell) ** (1.0 / p))
 
 
-def field_from_symbol_mask(pair, N, L, mask_fn, seed=None, phases="random"):
-    """Physical field whose spectrum is supported where mask_fn(rho) holds."""
-    rho, _ = rho_omega_grid(pair, N, L)
-    mask = mask_fn(rho)
-    spec = np.zeros((N, N), dtype=complex)
-    if phases == "random":
-        rng = np.random.default_rng(seed)
-        spec[mask] = np.exp(2j * np.pi * rng.random(int(mask.sum())))
-    else:
-        spec[mask] = 1.0
-    return GridField(N, L, spec, "frequency").to_physical()
-
-
 def apply_multiplier(f, symbol):
     """F^-1[symbol * F f]; symbol is an N x N array on the frequency grid
     or a callable of (XI1, XI2)."""
@@ -155,68 +142,101 @@ def active_t_grid(pair, f, delta, step=None, pad=2):
     return np.exp(np.arange(lo, hi + step, step))
 
 
-def _sqfn_accumulate(pair, f, delta, t_grid, symbol_of_t, support_of_t=None):
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) > 1:
-        steps = np.diff(np.log(t_grid))
-        if np.max(steps) > delta / 8.0 + 1e-12:
-            raise ConfigError("t grid log-step must be <= delta/8")
-        w = np.zeros(len(t_grid))
-        w[:-1] += 0.5 * steps
-        w[1:] += 0.5 * steps
-    else:
-        w = np.array([delta])
-    spec = f.to_frequency()
-    rho, _ = rho_omega_grid(pair, f.N, f.L)
-    # work in unshifted FFT layout and evaluate the symbol only on its
-    # rho-support (cells presorted by rho); one shift at the very end
-    spec_u = scipy.fft.ifftshift(spec.values).ravel()
-    rho_u = scipy.fft.ifftshift(rho).ravel()
-    order = np.argsort(rho_u)
-    rho_sorted = rho_u[order]
-    acc = np.zeros((f.N, f.N))
-    for t, wt in zip(t_grid, w):
-        idx = order
-        if support_of_t is not None:
-            lo, hi = np.searchsorted(rho_sorted, support_of_t(t))
-            idx = order[lo:hi]
-        if len(idx) == 0:
-            continue
-        mult = np.zeros(f.N * f.N, dtype=complex)
-        mult[idx] = symbol_of_t(rho_u[idx], t) * spec_u[idx]
-        piece = scipy.fft.ifft2(mult.reshape(f.N, f.N), overwrite_x=True)
-        acc += wt * (piece.real ** 2 + piece.imag ** 2)
-    acc = scipy.fft.fftshift(acc)
-    return GridField(f.N, f.L, np.sqrt(acc) / f.h ** 2, "physical")
+class SpectralBank(object):
+    """f-hat's nonzero cells in unshifted FFT layout, sorted by rho.
+
+    An operator built from a family of symbols is a stream of pieces
+    (weight, cells, values): cells selects bank cells (a slice or an index
+    array into the sorted arrays rho, omega, spec) and values is the
+    piece's symbol there.  The symbol times f-hat vanishes off the bank,
+    so evaluating it on the bank alone is exact.
+    """
+
+    def __init__(self, pair, f):
+        self.N, self.L, self.h = f.N, f.L, f.h
+        spec = scipy.fft.ifftshift(f.to_frequency().values).ravel()
+        rho, omega = rho_omega_grid(pair, f.N, f.L)
+        rho = scipy.fft.ifftshift(rho).ravel()
+        nz = np.flatnonzero(spec)
+        self.cells = nz[np.argsort(rho[nz], kind="stable")]
+        self.spec = spec[self.cells]
+        self.rho = rho[self.cells]
+        self.omega = scipy.fft.ifftshift(omega).ravel()[self.cells]
+
+    def between(self, lo, hi):
+        """Cells with lo <= rho < hi."""
+        a, b = np.searchsorted(self.rho, (lo, hi))
+        return slice(a, b)
+
+    def reduce(self, pieces, how):
+        """sqrt(sum w |piece|^2) for how="sum", max |piece| for how="max".
+
+        Returns the physical field and the number of non-empty pieces;
+        all-zero pieces are skipped, and the weight is unused by "max".
+        """
+        if how not in ("sum", "max"):
+            raise ConfigError("reduction must be 'sum' or 'max'")
+        acc = np.zeros((self.N, self.N))
+        used = 0
+        for weight, cells, values in pieces:
+            coef = values * self.spec[cells]
+            if not np.any(coef):
+                continue
+            used += 1
+            mult = np.zeros(self.N * self.N, dtype=complex)
+            mult[self.cells[cells]] = coef
+            piece = scipy.fft.ifft2(mult.reshape(self.N, self.N),
+                                    overwrite_x=True)
+            mod2 = piece.real ** 2 + piece.imag ** 2
+            if how == "sum":
+                acc += weight * mod2
+            else:
+                np.maximum(acc, mod2, out=acc)
+        out = scipy.fft.fftshift(np.sqrt(acc)) / self.h ** 2
+        return GridField(self.N, self.L, out, "physical"), used
 
 
-def square_function_annulus(pair, f, delta, t_grid=None, Phi=None):
+def _log_trapezoid_weights(t_grid, single):
+    """Trapezoid weights in log t; a one-point grid gets weight single."""
+    if len(t_grid) == 1:
+        return np.array([single])
+    steps = np.diff(np.log(t_grid))
+    w = np.zeros(len(t_grid))
+    w[:-1] += 0.5 * steps
+    w[1:] += 0.5 * steps
+    return w
+
+
+def square_function_annulus(pair, f, delta, t_grid=None):
     """(integral |psi_t * f|^2 dt/t)^{1/2} with psi_t the delta-annulus
     smoother at scale t (trapezoid in log t)."""
     if t_grid is None:
         t_grid = active_t_grid(pair, f, delta)
+    t_grid = np.asarray(t_grid, dtype=float)
+    steps = np.diff(np.log(t_grid))
+    if len(steps) and steps.max() > delta / 8.0 + 1e-12:
+        raise ConfigError("t grid log-step must be <= delta/8")
+    bank = SpectralBank(pair, f)
 
-    def symbol_of_t(rho, t):
-        return annulus_cutoff(delta, Phi, t)(rho)
+    def pieces():
+        for t, w in zip(t_grid, _log_trapezoid_weights(t_grid, delta)):
+            cells = bank.between(t * (1.0 - 2.0 * delta), t * (1.0 + 2.0 * delta))
+            yield w, cells, annulus_cutoff(delta, t)(bank.rho[cells])
 
-    def support_of_t(t):
-        return (t * (1.0 - 2.0 * delta), t * (1.0 + 2.0 * delta))
-
-    return _sqfn_accumulate(pair, f, delta, t_grid, symbol_of_t,
-                            support_of_t if Phi is None else None)
+    return bank.reduce(pieces(), "sum")[0]
 
 
-def square_function_glambda(pair, f, lam, t_grid, quad_delta=None):
+def square_function_glambda(pair, f, lam, t_grid):
     """(integral |R_t^lambda f|^2 dt/t)^{1/2} over the truncated t range."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if quad_delta is None:
-        quad_delta = 8.0 * float(np.max(np.diff(np.log(t_grid)))) if len(t_grid) > 1 else 0.1
+    bank = SpectralBank(pair, f)
 
-    def symbol_of_t(rho, t):
-        return br_symbol(rho, t, lam)
+    def pieces():
+        for t, w in zip(t_grid, _log_trapezoid_weights(t_grid, 0.1)):
+            cells = bank.between(0.0, t)
+            yield w, cells, br_symbol(bank.rho[cells], t, lam)
 
-    return _sqfn_accumulate(pair, f, quad_delta, t_grid, symbol_of_t,
-                            lambda t: (0.0, t))
+    return bank.reduce(pieces(), "sum")[0]
 
 
 # -- test-function families ---------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bumps import plateau
 from .errors import ConfigError
-from .grid import GridField
+from .grid import SpectralBank
 from .quasinorm import rho_omega_grid
 
 _RADIAL_PAD = 2.0   # enlargement of the shell width, in transition units
@@ -67,41 +67,35 @@ def tile_bump(lib, idx, rho, omega):
     return rad * ang
 
 
-def tile_projection_square_function(pair, delta, f, lib, band=None):
+def tile_projection_square_function(pair, delta, f, lib):
     """sqrt(sum over tiles |P~_{i,j,m,n} f|^2) with enlarged tile bumps.
 
-    band, if given, is a boolean frequency mask restricting which tiles
-    matter; tiles whose symbol vanishes on the support of f-hat contribute
-    exactly zero and are skipped.
+    Tiles whose symbol vanishes on the support of f-hat contribute exactly
+    zero and are skipped; the result carries the count as .tiles_used.
     """
     tiling = lib.tiling
-    spec = f.to_frequency()
-    rho, omega = rho_omega_grid(pair, f.N, f.L)
-    amp = np.abs(spec.values)
-    live = amp > 1e-10 * max(amp.max(), 1e-300)
-    rho_live = rho[live]
-    omega_live = omega[live]
-    acc = np.zeros((f.N, f.N))
-    used = 0
-    for idx in range(tiling.size):
-        rl = tiling.rho_lo[idx] / 4.0
-        rh = tiling.rho_hi[idx] * 4.0
-        sel = (rho_live >= rl) & (rho_live <= rh)
-        if not np.any(sel):
-            continue
-        i_sec = int(tiling.sector_idx[idx])
-        wlo = lib.mids[i_sec] - 2.0 * (lib.half_widths[i_sec] + 0.25)
-        span = 4.0 * (lib.half_widths[i_sec] + 0.25)
-        if not np.any(np.mod(omega_live[sel] - wlo, 2.0 * np.pi) <= span):
-            continue
-        bump = tile_bump(lib, idx, rho, omega)
-        piece_spec = bump * spec.values
-        if not np.any(piece_spec):
-            continue
-        used += 1
-        piece = GridField(f.N, f.L, piece_spec, "frequency").to_physical()
-        acc += np.abs(piece.values) ** 2
-    out = GridField(f.N, f.L, np.sqrt(acc), "physical")
+    bank = SpectralBank(pair, f)
+    amp = np.abs(bank.spec)
+    live = amp > 1e-10 * max(np.max(amp, initial=0.0), 1e-300)
+    rho_live = bank.rho[live]
+    omega_live = bank.omega[live]
+    everywhere = slice(None)
+
+    def pieces():
+        for idx in range(tiling.size):
+            rl = tiling.rho_lo[idx] / 4.0
+            rh = tiling.rho_hi[idx] * 4.0
+            sel = (rho_live >= rl) & (rho_live <= rh)
+            if not np.any(sel):
+                continue
+            i_sec = int(tiling.sector_idx[idx])
+            wlo = lib.mids[i_sec] - 2.0 * (lib.half_widths[i_sec] + 0.25)
+            span = 4.0 * (lib.half_widths[i_sec] + 0.25)
+            if not np.any(np.mod(omega_live[sel] - wlo, 2.0 * np.pi) <= span):
+                continue
+            yield 1.0, everywhere, tile_bump(lib, idx, bank.rho, bank.omega)
+
+    out, used = bank.reduce(pieces(), "sum")
     out.tiles_used = used
     return out
 
@@ -137,23 +131,15 @@ def dyadic_shell_bump(rho, n):
     return np.where(rho > 0, plateau(s / 2.0), 0.0)
 
 
-def dyadic_projection_square_function(pair, f, n_range=None):
+def dyadic_projection_square_function(pair, f):
     """sqrt(sum over n |P_n f|^2) with quasiradial dyadic shell bumps."""
-    spec = f.to_frequency()
-    rho, omega = rho_omega_grid(pair, f.N, f.L)
+    rho, _ = rho_omega_grid(pair, f.N, f.L)
     pos = rho[rho > 0]
     if pos.size == 0:
         raise ConfigError("empty spectrum")
-    if n_range is None:
-        n_lo = int(np.floor(np.log2(pos.min()))) - 2
-        n_hi = int(np.ceil(np.log2(pos.max()))) + 2
-    else:
-        n_lo, n_hi = n_range
-    acc = np.zeros((f.N, f.N))
-    for n in range(n_lo, n_hi + 1):
-        piece_spec = dyadic_shell_bump(rho, n) * spec.values
-        if not np.any(piece_spec):
-            continue
-        piece = GridField(f.N, f.L, piece_spec, "frequency").to_physical()
-        acc += np.abs(piece.values) ** 2
-    return GridField(f.N, f.L, np.sqrt(acc), "physical")
+    n_lo = int(np.floor(np.log2(pos.min()))) - 2
+    n_hi = int(np.ceil(np.log2(pos.max()))) + 2
+    bank = SpectralBank(pair, f)
+    pieces = ((1.0, slice(None), dyadic_shell_bump(bank.rho, n))
+              for n in range(n_lo, n_hi + 1))
+    return bank.reduce(pieces, "sum")[0]

@@ -9,10 +9,9 @@ oracle, so the two agree to rounding error.
 import numpy as np
 import scipy.fft
 
-from .bumps import plateau
+from .bumps import annulus_cutoff
 from .errors import ConfigError
-from .grid import GridField
-from .quasinorm import rho_omega_grid
+from .grid import GridField, SpectralBank
 
 
 class RectangleFamily(object):
@@ -207,7 +206,7 @@ def weak11_probe(f, fam, alphas):
 
 # -- kernel maximal ------------------------------------------------------------
 
-def kernel_maximal(pair, delta, f, lib, t_step_factor=1.0 / 8.0):
+def kernel_maximal(pair, delta, f, lib):
     """sup over tiles and scales t of |psi_t * K_{i,j,m,n} * f|.
 
     Computed spectrally: for each tile whose support meets f's spectrum and
@@ -216,41 +215,36 @@ def kernel_maximal(pair, delta, f, lib, t_step_factor=1.0 / 8.0):
     the moduli; t runs on a log grid of step delta/8 over the active window.
     """
     tiling = lib.tiling
-    spec = f.to_frequency()
-    rho, omega = rho_omega_grid(pair, f.N, f.L)
-    amp = np.abs(spec.values)
-    live = amp > 1e-10 * amp.max()
-    rho_live = rho[live]
-    omega_live = omega[live]
-    out = np.zeros((f.N, f.N))
-    step = delta * t_step_factor
-    for idx in range(tiling.size):
-        # quick support screen against f's spectrum
-        rl = tiling.rho_lo[idx] / (1.0 + 4.0 * delta)
-        rh = tiling.rho_hi[idx] * (1.0 + 4.0 * delta)
-        band = (rho_live >= rl) & (rho_live <= rh)
-        if not np.any(band):
-            continue
-        wl = tiling.omega_lo[idx] - 0.1
-        wh = tiling.omega_hi[idx] + 0.1
-        span = np.mod(wh - wl, 2 * np.pi)
-        if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
-            continue
-        i, j = int(tiling.sector_idx[idx]), int(tiling.j_idx[idx])
-        m, n = int(tiling.m_idx[idx]), int(tiling.n_idx[idx])
-        sym = lib.sigma(i, j, m, n, rho, omega)
-        if not np.any(sym):
-            continue
-        sym_spec = sym * spec.values
-        if not np.any(sym_spec):
-            continue
-        lo = np.log(tiling.rho_lo[idx] / (1.0 + delta)) - step
-        hi = np.log(tiling.rho_hi[idx] / (1.0 - delta)) + step
-        for s in np.arange(lo, hi + step, step):
-            t = np.exp(s)
-            mult = plateau((rho / t - 1.0) / delta) * sym_spec
-            if not np.any(mult):
+    bank = SpectralBank(pair, f)
+    amp = np.abs(bank.spec)
+    live = amp > 1e-10 * np.max(amp, initial=0.0)
+    rho_live = bank.rho[live]
+    omega_live = bank.omega[live]
+    step = delta / 8.0
+
+    def pieces():
+        for idx in range(tiling.size):
+            # quick support screen against f's spectrum
+            rl = tiling.rho_lo[idx] / (1.0 + 4.0 * delta)
+            rh = tiling.rho_hi[idx] * (1.0 + 4.0 * delta)
+            band = (rho_live >= rl) & (rho_live <= rh)
+            if not np.any(band):
                 continue
-            piece = GridField(f.N, f.L, mult, "frequency").to_physical()
-            np.maximum(out, np.abs(piece.values), out=out)
-    return GridField(f.N, f.L, out, "physical")
+            wl = tiling.omega_lo[idx] - 0.1
+            wh = tiling.omega_hi[idx] + 0.1
+            span = np.mod(wh - wl, 2 * np.pi)
+            if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
+                continue
+            i, j = int(tiling.sector_idx[idx]), int(tiling.j_idx[idx])
+            m, n = int(tiling.m_idx[idx]), int(tiling.n_idx[idx])
+            sym = lib.sigma(i, j, m, n, bank.rho, bank.omega)
+            cells = np.flatnonzero(sym)
+            if cells.size == 0:
+                continue
+            sym, rho = sym[cells], bank.rho[cells]
+            lo = np.log(tiling.rho_lo[idx] / (1.0 + delta)) - step
+            hi = np.log(tiling.rho_hi[idx] / (1.0 - delta)) + step
+            for s in np.arange(lo, hi + step, step):
+                yield 1.0, cells, annulus_cutoff(delta, np.exp(s))(rho) * sym
+
+    return bank.reduce(pieces(), "max")[0]

@@ -7,7 +7,7 @@ log2 t, safe because compatibility guarantees a single monotone crossing.
 
 import numpy as np
 
-from .dilation import DilationGroup, orbit_tangent
+from .dilation import DilationGroup
 from .errors import ConfigError, IncompatiblePairError
 
 _REL_TOL = 1e-12
@@ -23,6 +23,7 @@ class CompatiblePair(object):
         self.theta = theta
         self.theta_samples = theta_samples
         self.M = domain.M
+        self._grids = {}  # (N, L) -> (rho, omega), see rho_omega_grid
 
     def rho(self, xi):
         return eval_rho(self, xi)
@@ -39,9 +40,6 @@ class CompatiblePair(object):
         """Polar angle of the orbit projection; constant along orbits."""
         p = self.boundary_projection(xi, rho_vals)
         return np.arctan2(p[..., 1], p[..., 0])
-
-    def cache_key(self):
-        return id(self)
 
 
 def _signed_outside(pair, s, xi):
@@ -93,23 +91,20 @@ def eval_rho(pair, xi):
     return float(out) if scalar else out
 
 
-_GRID_CACHE = {}
-
-
 def frequency_grid(N, L):
     """1-D frequency samples (pi/L) {-N/2, ..., N/2 - 1}."""
     return (np.pi / L) * np.arange(-N // 2, N // 2)
 
 
 def rho_omega_grid(pair, N, L):
-    """Cached (rho, omega) fields on the N x N frequency grid.
+    """(rho, omega) fields on the N x N frequency grid, cached on the pair.
 
     omega is the polar angle of the orbit projection rho^{-A} xi onto the
     boundary; it is constant along dilation orbits.  At xi = 0 both fields
     are set to 0.
     """
-    key = (pair.cache_key(), N, L)
-    if key not in _GRID_CACHE:
+    key = (N, L)
+    if key not in pair._grids:
         xi1 = frequency_grid(N, L)
         X1, X2 = np.meshgrid(xi1, xi1, indexing="ij")
         xi = np.stack([X1, X2], axis=-1)
@@ -118,8 +113,8 @@ def rho_omega_grid(pair, N, L):
         nz = rho > 0
         proj = pair.group.apply(1.0 / np.where(nz, rho, 1.0), xi)
         omega[nz] = np.arctan2(proj[..., 1], proj[..., 0])[nz]
-        _GRID_CACHE[key] = (rho, omega)
-    return _GRID_CACHE[key]
+        pair._grids[key] = (rho, omega)
+    return pair._grids[key]
 
 
 def check_compatibility(domain, group, samples=2048):

@@ -237,13 +237,10 @@ class Tiling(object):
         count = np.zeros(np.shape(rho_vals), dtype=int)
         # group tiles by (sector, j): the (m, n) block shares omega windows
         order = np.lexsort((self.n_idx, self.m_idx, self.j_idx, self.sector_idx))
-        block_starts = [0]
-        for k in range(1, self.size):
-            a, b = order[k - 1], order[k]
-            if (self.sector_idx[a] != self.sector_idx[b]
-                    or self.j_idx[a] != self.j_idx[b]):
-                block_starts.append(k)
-        block_starts.append(self.size)
+        changed = ((np.diff(self.sector_idx[order]) != 0)
+                   | (np.diff(self.j_idx[order]) != 0))
+        block_starts = np.concatenate(
+            [[0], np.flatnonzero(changed) + 1, [self.size]])
         for bs, be in zip(block_starts[:-1], block_starts[1:]):
             ks = order[bs:be]
             k0 = ks[0]

@@ -80,3 +80,35 @@ def test_mult_norm_rough_multiplier_flagged(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "mult_norm.json").read_text())
     assert rep["value"] == "inf"
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"A": [[float("nan"), 0.0], [0.0, 1.0]]}, "A must"),
+    ({"A": [[1.0, "x"], [0.0, 1.0]]}, "A must"),
+    ({"domain": {"type": "disk", "radius": "x"}}, "disk radius"),
+    ({"domain": {"type": "disk", "radius": float("nan")}}, "disk radius"),
+    ({"domain": {"type": "superellipse", "a": 10.0, "b": float("inf"),
+                 "p": 4.0}}, "superellipse semi-axis b"),
+    ({"domain": {"type": "polygon",
+                 "vertices": [[12, -12], [12, float("nan")], [-12, 12]]}},
+     "polygon vertices"),
+    ({"domain": {"type": "regular-polygon", "k": 6, "circumradius": 12.0,
+                 "phase": "x"}}, "phase"),
+])
+def test_bad_numeric_config_exits_3_without_traceback(tmp_path, capsys, cfg,
+                                                      field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = _run(["decompose", "--delta", "0.0625", "--config", str(path),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: " + field)
+    assert "Traceback" not in err
+
+
+def test_lwp_probe_empty_band_is_resolution_error(tmp_path, capsys):
+    # at N = 16, L = 24 the frequency window ends below the unit rho level
+    code = _run(["lwp-probe", "--grid", "16,24", "--out", str(tmp_path)])
+    assert code == 4
+    assert "probe band empty" in capsys.readouterr().err

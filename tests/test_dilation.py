@@ -1,7 +1,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from quasibr.dilation import DilationGroup, matrix_power, orbit_tangent
+from quasibr.dilation import DilationGroup, orbit_tangent
 
 CASES = [
     np.eye(2),
@@ -55,7 +55,7 @@ def test_apply_matches_matmul():
 
 def test_matrix_power_helper():
     g = DilationGroup(np.diag([1.0, 2.0]))
-    assert np.allclose(matrix_power(g, 4.0), np.diag([4.0, 16.0]))
+    assert np.allclose(g.power(4.0), np.diag([4.0, 16.0]))
 
 
 def test_orbit_tangent_finite_difference():

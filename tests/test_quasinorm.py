@@ -83,3 +83,19 @@ def test_rho_omega_grid_cached(disk_pair):
     xi = (np.pi / 8.0) * np.arange(-32, 32)
     X1, X2 = np.meshgrid(xi, xi, indexing="ij")
     assert np.allclose(r1, np.hypot(X1, X2) / 10.0, atol=1e-10)
+
+
+def test_rho_grid_cache_survives_pair_reuse():
+    # grids live on their pair: a fresh pair never sees a freed pair's grid,
+    # even when the allocator hands it the same id()
+    N, L = 32, 4.0
+    xi1 = (np.pi / L) * np.arange(-N // 2, N // 2)
+    X1, X2 = np.meshgrid(xi1, xi1, indexing="ij")
+    xi = np.stack([X1, X2], axis=-1)
+    for cycle in range(20):
+        for radius in (10.0, 20.0):
+            pair = check_compatibility(Disk(radius), np.eye(2))
+            rho, _ = rho_omega_grid(pair, N, L)
+            assert np.allclose(rho, eval_rho(pair, xi), rtol=1e-12, atol=0.0), \
+                (cycle, radius)
+            del pair, rho

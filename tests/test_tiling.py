@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quasibr.errors import ConfigError
-from quasibr.tiling import (Tiling, build_sectors, m_shell_range,
+from quasibr.tiling import (Tiling, _in_arc, build_sectors, m_shell_range,
                             count_ball_sum_overlaps, active_time_measure)
 
 
@@ -61,6 +61,13 @@ def test_multiplicity_covers_annulus(disk_pair):
     mult = tiling.multiplicity(pts)
     assert mult.min() >= 1       # covering
     assert mult.max() <= 8       # bounded overlap
+    # the per-tile count, without the (sector, interval) blocking
+    rho = disk_pair.rho(pts[:400])
+    omega = disk_pair.boundary_angle(pts[:400], rho)
+    want = sum(_in_arc(omega, tiling.omega_lo[k], tiling.omega_hi[k])
+               & (rho >= tiling.rho_lo[k]) & (rho <= tiling.rho_hi[k])
+               for k in range(tiling.size))
+    assert np.array_equal(mult[:400], want)
 
 
 def test_tile_membership_is_invariant_box(disk_pair):
