@@ -3,7 +3,8 @@
 Each subcommand reads an optional JSON config, runs one study, and writes
 CSV curves plus a JSON summary embedding the config hash and a manifest of
 versions and parameters.  Exit codes: 0 pass, 2 threshold failure,
-3 configuration error, 4 numerical-resolution error.
+3 configuration error (a malformed command line included),
+4 numerical-resolution error.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .bumps import BumpLibrary, full_annulus_symbol, kernel_build, \
     kernel_from_rho_symbol, plateau
 from .caps import decompose
 from .dilation import DilationGroup
-from .domains import boundary_arc, domain_from_config
+from .domains import _finite, boundary_arc, domain_from_config
 from .errors import ConfigError, GeometryError, ResolutionError, \
     ThresholdFailure
 from .grid import GridField, bochner_riesz_mean, delta_scaling_experiment, \
@@ -107,7 +108,8 @@ def _out_path(args, name):
 
 def cmd_decompose(args, cfg):
     pair = _build_pair(cfg)
-    arc = boundary_arc(pair.domain, float(cfg.get("rotation", 0.0)))
+    arc = boundary_arc(pair.domain,
+                       _finite(cfg.get("rotation", 0.0), "rotation"))
     d = decompose(arc, args.delta)
     payload = {
         "delta": args.delta,
@@ -383,8 +385,16 @@ def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quasibr",
         description="numerical experiments for quasiradial Bochner-Riesz "
                     "square functions")

@@ -118,6 +118,7 @@ class Tile(object):
     def __init__(self, tiling, idx):
         self.tiling = tiling
         t = tiling
+        self.k = int(idx)
         self.i = int(t.sector_idx[idx])
         self.j = int(t.j_idx[idx])
         self.m = int(t.m_idx[idx])
@@ -131,24 +132,7 @@ class Tile(object):
 
     def contains(self, points, rho_vals=None, tol=0.0):
         """Exact membership; tol >= 0 dilates the tile (conservative)."""
-        pair = self.tiling.pair
-        points = np.asarray(points, dtype=float)
-        if rho_vals is None:
-            rho_vals = pair.rho(points)
-        rho_vals = np.asarray(rho_vals, dtype=float)
-        ok = ((rho_vals >= self.rho_lo * (1.0 - tol))
-              & (rho_vals <= self.rho_hi * (1.0 + tol)))
-        omega = np.full(np.shape(rho_vals), np.nan)
-        if np.any(ok):
-            sub = points[ok] if points.ndim > 1 else points
-            omega_ok = pair.boundary_angle(sub, np.asarray(rho_vals)[ok])
-            lo = self.omega_lo - tol
-            hi = self.omega_hi + tol
-            inside = _in_arc(omega_ok, lo, hi)
-            out = np.zeros(np.shape(rho_vals), dtype=bool)
-            out[np.flatnonzero(ok)] = inside
-            return out
-        return np.zeros(np.shape(rho_vals), dtype=bool)
+        return self.tiling.contains(points, [self.k], rho_vals, tol)[..., 0]
 
     def boundary_samples(self, n_omega=9, n_rho=3):
         """Point cloud covering the tile (corners, edges, interior)."""
@@ -227,6 +211,30 @@ class Tiling(object):
     def tile(self, k):
         return Tile(self, k)
 
+    def contains(self, points, idx, rho_vals=None, tol=0.0):
+        """Membership of points (..., 2) in each tile of idx: shape (..., len(idx)).
+
+        x lies in tile k dilated by tol >= 0 iff rho_lo (1 - tol) <= rho(x)
+        <= rho_hi (1 + tol) and omega(x) lies in the arc [omega_lo - tol,
+        omega_hi + tol].  rho is evaluated once for all tiles, omega once
+        at the points inside some tile's rho range.
+        """
+        points = np.asarray(points, dtype=float)
+        idx = np.asarray(idx, dtype=int)
+        if rho_vals is None:
+            rho_vals = self.pair.rho(points)
+        shape = np.shape(rho_vals)
+        rho = np.asarray(rho_vals, dtype=float).reshape(-1, 1)
+        out = ((rho >= self.rho_lo[idx] * (1.0 - tol))
+               & (rho <= self.rho_hi[idx] * (1.0 + tol)))
+        near = out.any(axis=1)
+        if np.any(near):
+            omega = self.pair.boundary_angle(points.reshape(-1, 2)[near],
+                                             rho[near, 0])
+            out[near] &= _in_arc(omega[:, None], self.omega_lo[idx] - tol,
+                                 self.omega_hi[idx] + tol)
+        return out.reshape(shape + (len(idx),))
+
     def multiplicity(self, points, rho_vals=None, omega_vals=None):
         """Number of tiles containing each point (vectorized)."""
         points = np.asarray(points, dtype=float)
@@ -254,34 +262,18 @@ class Tiling(object):
             count[in_omega] += c
         return count
 
-    def tiles_meeting_level(self, rho_level, omega_mask_fn=None):
-        """Indices of tiles whose rho-range contains rho_level and whose
-        angular window meets {omega : omega_mask_fn(omega)} (or any omega)."""
-        hit = (self.rho_lo <= rho_level) & (rho_level <= self.rho_hi)
-        idx = np.flatnonzero(hit)
-        if omega_mask_fn is None:
-            return idx
-        keep = []
-        for k in idx:
-            w = np.linspace(self.omega_lo[k], self.omega_hi[k], 33)
-            if np.any(omega_mask_fn(w)):
-                keep.append(k)
-        return np.asarray(keep, dtype=int)
-
 
 # -- overlap counting ---------------------------------------------------------
 
+N_SPAN = 2       # dyadic generations added on each side of the levels
+REFINE_TOP = 12  # busiest box cells counted exactly
+
+
 class OverlapReport(object):
-    def __init__(self, delta, max_overlap, histogram, fit_data=None):
+    def __init__(self, delta, max_overlap, histogram):
         self.delta = float(delta)
         self.max_overlap = int(max_overlap)
         self.histogram = histogram
-        self.fit_data = fit_data or []
-
-    def to_dict(self):
-        return {"delta": self.delta, "max_overlap": self.max_overlap,
-                "histogram": {str(k): int(v) for k, v in self.histogram.items()},
-                "fit_data": self.fit_data}
 
 
 def _t1_mask(pair, points, rho_vals):
@@ -308,20 +300,34 @@ def _t1_mask(pair, points, rho_vals):
 
 
 def _level_tiles_in_t1(tiling, t):
-    """A_t: tiles meeting {rho = 1/t} inside T1 (closure)."""
+    """A_t: tiles meeting {rho = 1/t} inside T1 (closure), tested on 33
+    points of each tile's angular window."""
     pair = tiling.pair
     level = 1.0 / t
-
-    def mask_fn(omega):
-        pts = pair.group.apply(level, pair.domain.boundary_point(omega))
-        return _t1_mask(pair, pts, np.full(len(np.atleast_1d(omega)), level))
-
-    return tiling.tiles_meeting_level(level, mask_fn)
+    idx = np.flatnonzero((tiling.rho_lo <= level) & (level <= tiling.rho_hi))
+    w = np.linspace(tiling.omega_lo[idx], tiling.omega_hi[idx], 33, axis=1)
+    pts = pair.group.apply(level, pair.domain.boundary_point(w))
+    return idx[_t1_mask(pair, pts, np.full(w.shape, level)).any(axis=1)]
 
 
-def _accumulate_boxes(boxes, x_edges, y_edges):
-    """Multiplicity of covering boxes on the cell grid via corner marks."""
+def _overlap_tiling(pair, delta, *scales):
+    """Tiling over the generations of the given scales, N_SPAN more each side."""
+    n_lo = int(np.floor(np.log2(1.0 / max(scales)) / 2.0)) - N_SPAN
+    n_hi = int(np.ceil(np.log2(1.0 / min(scales)) / 2.0)) + N_SPAN
+    return Tiling(pair, delta, (n_lo, n_hi))
+
+
+def _busiest_cells(boxes, spacing):
+    """Box stage: multiplicity of the boxes (n, 2, 2) on a cell grid of the
+    given spacing, via corner marks.  Returns the REFINE_TOP largest cell
+    counts, their cell centres and the histogram of all cell counts."""
+    lo_all = boxes[:, 0].min(axis=0)
+    hi_all = boxes[:, 1].max(axis=0)
+    x_edges = np.arange(lo_all[0], hi_all[0] + spacing, spacing)
+    y_edges = np.arange(lo_all[1], hi_all[1] + spacing, spacing)
     nx, ny = len(x_edges) - 1, len(y_edges) - 1
+    if nx * ny > 6.0e7:
+        raise ConfigError("overlap sample grid too large")
     acc = np.zeros((nx + 1, ny + 1), dtype=np.int32)
     ix0 = np.clip(np.searchsorted(x_edges, boxes[:, 0, 0], side="right") - 1, 0, nx)
     ix1 = np.clip(np.searchsorted(x_edges, boxes[:, 1, 0], side="left"), 0, nx)
@@ -331,12 +337,19 @@ def _accumulate_boxes(boxes, x_edges, y_edges):
     np.add.at(acc, (ix0, iy1), -1)
     np.add.at(acc, (ix1, iy0), -1)
     np.add.at(acc, (ix1, iy1), 1)
-    return np.cumsum(np.cumsum(acc, axis=0), axis=1)[:nx, :ny]
+    counts = np.cumsum(np.cumsum(acc, axis=0), axis=1)[:nx, :ny]
+    hist_vals, hist_cnt = np.unique(counts, return_counts=True)
+    histogram = dict(zip(hist_vals.tolist(), hist_cnt.tolist()))
+    flat = counts.ravel()
+    top = np.argsort(flat)[::-1][:REFINE_TOP]
+    ix, iy = np.divmod(top, ny)
+    centres = np.stack([x_edges[ix] + 0.5 * spacing,
+                        y_edges[iy] + 0.5 * spacing], axis=1)
+    return flat[top], centres, histogram
 
 
 def _tile_lattice(tile, spacing):
     """Sample lattice covering the tile at the given spacing (approx)."""
-    span_omega = max(tile.omega_hi - tile.omega_lo, 1e-9)
     span_rho = tile.rho_hi - tile.rho_lo
     pair = tile.tiling.pair
     # physical tangential extent ~ |I_j|, radial extent ~ 4 delta * scale
@@ -348,124 +361,75 @@ def _tile_lattice(tile, spacing):
     return np.concatenate([pair.group.apply(r, base) for r in rho])
 
 
-def count_sum_overlaps(pair, delta, u, t, sample_spacing=None, n_span=2,
-                       refine_top=12):
+def _count_overlaps(tiling, au, boxes, clouds, candidates):
+    """Max multiplicity of the sums S_a + B over first summands S_a and
+    tiles B in au (tile indices).
+
+    Conservative two-stage count: box accumulation on a cell grid of
+    spacing delta/4, then exact Minkowski membership at the busiest cells:
+    x lies in S_a + B iff x - S_a meets B, tested on the point cloud
+    clouds[a] of S_a against B dilated by delta/8.  boxes[a] bounds S_a;
+    candidates(x, sums) picks the pair ids a * len(au) + b to test at x.
+    """
+    delta = tiling.delta
+    if len(boxes) == 0 or len(au) == 0:
+        return OverlapReport(delta, 0, {0: 0})
+    boxes_u = np.array([tiling.tile(k).bbox() for k in au])
+    # Minkowski sum of boxes: componentwise interval sums, a-major
+    sums = (boxes[:, None] + boxes_u[None, :]).reshape(-1, 2, 2)
+    top_counts, centres, histogram = _busiest_cells(sums, delta / 4.0)
+    best = 0
+    for count, x in zip(top_counts, centres):
+        if count <= best:
+            break
+        first, second = np.divmod(candidates(x, sums), len(au))
+        mult = 0
+        for a in np.unique(first):
+            hit = tiling.contains(x - clouds[a], au[second[first == a]],
+                                  tol=delta / 8.0)
+            mult += int(np.count_nonzero(hit.any(axis=0)))
+        best = max(best, mult)
+    return OverlapReport(delta, best, histogram)
+
+
+def _box_screen(x, sums):
+    """Pair ids whose summed box contains x."""
+    return np.flatnonzero(np.all((sums[:, 0] <= x) & (x <= sums[:, 1]), axis=1))
+
+
+def count_sum_overlaps(pair, delta, u, t):
     """Max multiplicity of the Minkowski sums {A + B : A in A_t, B in A_u}.
 
-    Conservative two-stage count: bounding-box accumulation on a cell grid
-    of spacing <= delta/4, then exact Minkowski membership at the highest
-    cells (x in A + B iff (x - A) meets B, tested on a delta/8 lattice
-    with delta/8 dilation of B).
+    A is sampled on a delta/8 lattice; candidates are the pairs whose
+    summed bounding box contains the cell centre.
     """
     if not 0.5 < u / t < 2.0:
         raise ConfigError("need 1/2 < u/t < 2")
-    if sample_spacing is None:
-        sample_spacing = delta / 4.0
-    if sample_spacing > delta / 4.0 + 1e-15:
-        raise ConfigError("sample spacing must be <= delta/4")
-    n_lo = int(np.floor(np.log2(1.0 / max(t, u)) / 2.0)) - n_span
-    n_hi = int(np.ceil(np.log2(1.0 / min(t, u)) / 2.0)) + n_span
-    tiling = Tiling(pair, delta, (n_lo, n_hi))
+    tiling = _overlap_tiling(pair, delta, t, u)
     at = [tiling.tile(k) for k in _level_tiles_in_t1(tiling, t)]
-    au = [tiling.tile(k) for k in _level_tiles_in_t1(tiling, u)]
-    if not at or not au:
-        return OverlapReport(delta, 0, {0: 0})
-    boxes_t = np.array([a.bbox() for a in at])
-    boxes_u = np.array([b.bbox() for b in au])
-    # Minkowski sum of boxes: componentwise interval sums
-    sums = np.empty((len(at) * len(au), 2, 2))
-    pair_ids = np.empty((len(at) * len(au), 2), dtype=int)
-    q = 0
-    for ia in range(len(at)):
-        lo = boxes_t[ia, 0] + boxes_u[:, 0]
-        hi = boxes_t[ia, 1] + boxes_u[:, 1]
-        sums[q:q + len(au), 0] = lo
-        sums[q:q + len(au), 1] = hi
-        pair_ids[q:q + len(au), 0] = ia
-        pair_ids[q:q + len(au), 1] = np.arange(len(au))
-        q += len(au)
-    lo_all = sums[:, 0].min(axis=0)
-    hi_all = sums[:, 1].max(axis=0)
-    x_edges = np.arange(lo_all[0], hi_all[0] + sample_spacing, sample_spacing)
-    y_edges = np.arange(lo_all[1], hi_all[1] + sample_spacing, sample_spacing)
-    if (len(x_edges) - 1) * (len(y_edges) - 1) > 6.0e7:
-        raise ConfigError("overlap sample grid too large; raise spacing window")
-    counts = _accumulate_boxes(sums, x_edges, y_edges)
-    hist_vals, hist_cnt = np.unique(counts, return_counts=True)
-    histogram = dict(zip(hist_vals.tolist(), hist_cnt.tolist()))
-    # exact refinement at the busiest cells
-    flat = counts.ravel()
-    top = np.argsort(flat)[::-1][:refine_top]
-    best = 0
-    lat_t = [_tile_lattice(a, delta / 8.0) for a in at]
-    for cell in top:
-        if flat[cell] <= best:
-            break
-        cx = x_edges[cell // counts.shape[1]] + 0.5 * sample_spacing
-        cy = y_edges[cell % counts.shape[1]] + 0.5 * sample_spacing
-        x = np.array([cx, cy])
-        inside = (sums[:, 0, 0] <= x[0]) & (x[0] <= sums[:, 1, 0]) \
-            & (sums[:, 0, 1] <= x[1]) & (x[1] <= sums[:, 1, 1])
-        mult = 0
-        for pid in np.flatnonzero(inside):
-            ia, ib = pair_ids[pid]
-            diff = x[None, :] - lat_t[ia]
-            if np.any(au[ib].contains(diff, tol=delta / 8.0)):
-                mult += 1
-        best = max(best, mult)
-    return OverlapReport(delta, best, histogram,
-                         fit_data=[(float(delta), int(best))])
+    au = _level_tiles_in_t1(tiling, u)
+    boxes = np.array([a.bbox() for a in at]).reshape(-1, 2, 2)
+    clouds = [_tile_lattice(a, delta / 8.0) for a in at]
+    return _count_overlaps(tiling, au, boxes, clouds, _box_screen)
 
 
-def count_ball_sum_overlaps(pair, delta, u, t, sample_spacing=None, n_span=2,
-                            refine_top=12):
-    """Max multiplicity of {A + B_rho(0, 2/t)} over A in A_u."""
-    if sample_spacing is None:
-        sample_spacing = delta / 4.0
-    if sample_spacing > delta / 4.0 + 1e-15:
-        raise ConfigError("sample spacing must be <= delta/4")
-    n_lo = int(np.floor(np.log2(1.0 / u) / 2.0)) - n_span
-    n_hi = int(np.ceil(np.log2(1.0 / u) / 2.0)) + n_span
-    tiling = Tiling(pair, delta, (n_lo, n_hi))
-    au = [tiling.tile(k) for k in _level_tiles_in_t1(tiling, u)]
-    if not au:
-        return OverlapReport(delta, 0, {0: 0})
+def count_ball_sum_overlaps(pair, delta, u, t):
+    """Max multiplicity of {A + B_rho(0, 2/t)} over A in A_u.
+
+    The ball is sampled on two level sets and its centre; every tile of
+    A_u is a candidate at each cell (no box screen).
+    """
+    tiling = _overlap_tiling(pair, delta, u)
+    au = _level_tiles_in_t1(tiling, u)
     # bbox of the quasinorm ball {rho <= 2/t}
-    w = np.linspace(-np.pi, np.pi, 257)
-    bp = pair.group.apply(2.0 / t, pair.domain.boundary_point(w))
-    ball_lo, ball_hi = bp.min(axis=0), bp.max(axis=0)
-    boxes = np.array([b.bbox() for b in au])
-    sums = np.stack([boxes[:, 0] + ball_lo, boxes[:, 1] + ball_hi], axis=1)
-    lo_all = sums[:, 0].min(axis=0)
-    hi_all = sums[:, 1].max(axis=0)
-    x_edges = np.arange(lo_all[0], hi_all[0] + sample_spacing, sample_spacing)
-    y_edges = np.arange(lo_all[1], hi_all[1] + sample_spacing, sample_spacing)
-    if (len(x_edges) - 1) * (len(y_edges) - 1) > 6.0e7:
-        raise ConfigError("overlap sample grid too large")
-    counts = _accumulate_boxes(sums, x_edges, y_edges)
-    hist_vals, hist_cnt = np.unique(counts, return_counts=True)
-    histogram = dict(zip(hist_vals.tolist(), hist_cnt.tolist()))
-    # refine the max: exact test x - ball meets tile, i.e. tile dilated by
-    # the ball contains x; conservative via tile.contains with rho slack
-    flat = counts.ravel()
-    top = np.argsort(flat)[::-1][:refine_top]
-    best = 0
+    bp = pair.group.apply(2.0 / t, pair.domain.boundary_point(
+        np.linspace(-np.pi, np.pi, 257)))
+    box = np.array([[bp.min(axis=0), bp.max(axis=0)]])
     ball_pts = pair.group.apply(2.0 / t, pair.domain.boundary_point(
         np.linspace(-np.pi, np.pi, 65)))
     ball_pts = np.concatenate([ball_pts, 0.5 * ball_pts, [[0.0, 0.0]]])
-    for cell in top:
-        if flat[cell] <= best:
-            break
-        cx = x_edges[cell // counts.shape[1]] + 0.5 * sample_spacing
-        cy = y_edges[cell % counts.shape[1]] + 0.5 * sample_spacing
-        x = np.array([cx, cy])
-        mult = 0
-        for b in au:
-            diff = x[None, :] - ball_pts
-            if np.any(b.contains(diff, tol=delta / 8.0)):
-                mult += 1
-        best = max(best, mult)
-    return OverlapReport(delta, best, histogram)
+    return _count_overlaps(tiling, au, box, [ball_pts],
+                           lambda x, sums: np.arange(len(sums)))
 
 
 def active_time_measure(tile, pair, delta, step_factor=1.0 / 16.0):

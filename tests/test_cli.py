@@ -66,6 +66,15 @@ def test_unknown_subcommand_rejected():
         _run(["no-such-command"])
 
 
+def test_usage_error_exits_3_without_traceback(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["sqfn-scaling", "--grid", "a,b"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
 def test_mult_norm_reports_value(tmp_path):
     code = _run(["mult-norm", "--multiplier", "bump", "--alpha", "0.6",
                  "--out", str(tmp_path)])
@@ -94,6 +103,8 @@ def test_mult_norm_rough_multiplier_flagged(tmp_path):
      "polygon vertices"),
     ({"domain": {"type": "regular-polygon", "k": 6, "circumradius": 12.0,
                  "phase": "x"}}, "phase"),
+    ({"rotation": "x"}, "rotation"),
+    ({"rotation": float("nan")}, "rotation"),
 ])
 def test_bad_numeric_config_exits_3_without_traceback(tmp_path, capsys, cfg,
                                                       field):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quasibr.errors import ConfigError
-from quasibr.tiling import (Tiling, _in_arc, build_sectors, m_shell_range,
+from quasibr.tiling import (Tiling, _in_arc, _level_tiles_in_t1, _t1_mask,
+                            build_sectors, m_shell_range, count_sum_overlaps,
                             count_ball_sum_overlaps, active_time_measure)
 
 
@@ -86,6 +87,56 @@ def test_ball_sum_overlap_small(disk_pair):
     rep = count_ball_sum_overlaps(disk_pair, delta, u=1.0,
                                   t=delta ** -8)
     assert rep.max_overlap <= 8
+
+
+def test_tiling_contains_matches_tile_view(disk_pair):
+    tiling = Tiling(disk_pair, 2.0 ** -4)
+    idx = np.arange(0, tiling.size, 7)
+    pts = np.concatenate([tiling.tile(k).boundary_samples(9) for k in idx])
+    hit = tiling.contains(pts, idx, tol=1e-3)
+    assert hit.shape == (len(pts), len(idx))
+    assert hit.any(axis=0).all()
+    for col, k in enumerate(idx):
+        assert np.array_equal(hit[:, col], tiling.tile(k).contains(pts, tol=1e-3))
+
+
+def test_sum_overlap_count_pinned(disk_pair):
+    # the count at delta = 2^-4 on the radius-10 disk with A = I; criterion 4
+    # fits these counts across delta
+    assert count_sum_overlaps(disk_pair, 2.0 ** -4, 1.0, 1.0).max_overlap == 56
+
+
+@pytest.mark.parametrize("k, want", [(4, 3), (5, 5)])
+def test_ball_sum_overlap_count_pinned(disk_pair, k, want):
+    delta = 2.0 ** -k
+    rep = count_ball_sum_overlaps(disk_pair, delta, 1.0, delta ** -8)
+    assert rep.max_overlap == want
+
+
+def _level_tiles_reference(tiling, t):
+    # one tile at a time: rho range holds 1/t and the tile's 33-point
+    # angular grid meets T1
+    pair = tiling.pair
+    level = 1.0 / t
+    keep = []
+    for k in range(tiling.size):
+        if not tiling.rho_lo[k] <= level <= tiling.rho_hi[k]:
+            continue
+        w = np.linspace(tiling.omega_lo[k], tiling.omega_hi[k], 33)
+        pts = pair.group.apply(level, pair.domain.boundary_point(w))
+        if np.any(_t1_mask(pair, pts, np.full(33, level))):
+            keep.append(k)
+    return np.asarray(keep, dtype=int)
+
+
+@pytest.mark.parametrize("name", ["disk_pair", "hexagon_pair"])
+def test_level_tiles_match_per_tile_loop(request, name):
+    pair = request.getfixturevalue(name)
+    tiling = Tiling(pair, 2.0 ** -4, n_range=(-2, 2))
+    for t in (0.7, 1.0, 1.3):
+        got = _level_tiles_in_t1(tiling, t)
+        assert len(got) > 0
+        assert np.array_equal(got, _level_tiles_reference(tiling, t))
 
 
 def test_active_time_measure_disk(disk_pair):
