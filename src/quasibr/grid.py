@@ -124,7 +124,8 @@ def dyadic_decompose_br(pair, lam, delta_min):
 
 def active_t_grid(pair, f, delta, step=None, pad=2):
     """Log-spaced scales t where the annulus t(1 +- delta) can meet f's
-    spectrum, at log-step <= delta/8."""
+    spectrum, at log-step <= delta/8, starting one step below the first
+    scale that reaches f-hat's smallest nonzero rho > 0."""
     if step is None:
         step = delta / 8.0
     if step > delta / 8.0 + 1e-15:
@@ -139,7 +140,16 @@ def active_t_grid(pair, f, delta, step=None, pad=2):
     rmax = float(rho[live].max())
     lo = np.log(max(rmin, 1e-12) / (1.0 + delta)) - pad * step
     hi = np.log(rmax / (1.0 - delta)) + pad * step
-    return np.exp(np.arange(lo, hi + step, step))
+    t = np.exp(np.arange(lo, hi + step, step))
+    # A scale with t (1 + delta) <= the smallest rho > 0 where f-hat != 0 has
+    # an exactly zero piece.  Keep only the last of those leading scales:
+    # it carries the one changed trapezoid weight, and every later t and
+    # weight is bit-identical to the untrimmed lattice.
+    reach = rho[(amp > 0) & (rho > 0)]
+    if reach.size:
+        first = np.searchsorted(t * (1.0 + delta), reach.min(), side="right")
+        t = t[max(first - 1, 0):]
+    return t
 
 
 class SpectralBank(object):
@@ -150,6 +160,17 @@ class SpectralBank(object):
     array into the sorted arrays rho, omega, spec) and values is the
     piece's symbol there.  The symbol times f-hat vanishes off the bank,
     so evaluating it on the bank alone is exact.
+
+    Sum reductions form each piece on the smallest grid where |piece|^2 is
+    exact.  If the cells where the piece's symbol is nonzero span at most D
+    in signed FFT index along each axis, the piece is re-centred at their
+    box midpoint (a modulation, which leaves |piece| unchanged) and
+    inverted on an M x M grid, M the least power of two >= max(2 D + 2,
+    16).  |piece|^2 is then band-limited to |k| <= D < M/2, so the M x M
+    sums are upsampled once at the end by zero-padding their spectra to
+    N x N, with no aliasing.  Pieces with M >= N take the plain N x N path.
+    Max reductions always use N x N: a maximum of moduli is not
+    band-limited.
     """
 
     def __init__(self, pair, f):
@@ -162,6 +183,10 @@ class SpectralBank(object):
         self.spec = spec[self.cells]
         self.rho = rho[self.cells]
         self.omega = scipy.fft.ifftshift(omega).ravel()[self.cells]
+        # signed FFT indices in [-N/2, N/2) along each axis
+        signed = (np.arange(f.N) + f.N // 2) % f.N - f.N // 2
+        signed = signed.astype(np.int32)
+        self.k = [signed[self.cells // f.N], signed[self.cells % f.N]]
 
     def between(self, lo, hi):
         """Cells with lo <= rho < hi."""
@@ -176,24 +201,78 @@ class SpectralBank(object):
         """
         if how not in ("sum", "max"):
             raise ConfigError("reduction must be 'sum' or 'max'")
-        acc = np.zeros((self.N, self.N))
+        N = self.N
+        acc = np.zeros((N, N))
+        levels = {}  # M -> M x M sum of w |piece|^2 for M < N
         used = 0
         for weight, cells, values in pieces:
             coef = values * self.spec[cells]
             if not np.any(coef):
                 continue
             used += 1
-            mult = np.zeros(self.N * self.N, dtype=complex)
+            M, k1, k2, sel = (self._box(cells, values) if how == "sum"
+                              else (N, None, None, None))
+            if M < N:
+                mult = np.zeros((M, M), dtype=complex)
+                mult[k1, k2] = coef[sel]
+                mod2 = _mod2(scipy.fft.ifft2(mult, overwrite_x=True))
+                mod2 *= weight
+                levels[M] = levels.get(M, 0.0) + mod2
+                continue
+            mult = np.zeros(N * N, dtype=complex)
             mult[self.cells[cells]] = coef
-            piece = scipy.fft.ifft2(mult.reshape(self.N, self.N),
-                                    overwrite_x=True)
-            mod2 = piece.real ** 2 + piece.imag ** 2
+            mod2 = _mod2(scipy.fft.ifft2(mult.reshape(N, N), overwrite_x=True))
             if how == "sum":
-                acc += weight * mod2
+                mod2 *= weight
+                acc += mod2
             else:
                 np.maximum(acc, mod2, out=acc)
+        if levels:
+            acc += self._upsample(levels)
+            np.maximum(acc, 0.0, out=acc)
         out = scipy.fft.fftshift(np.sqrt(acc)) / self.h ** 2
         return GridField(self.N, self.L, out, "physical"), used
+
+    def _box(self, cells, values):
+        """(M, row, column, sel) for the cells of a piece where its symbol
+        values are nonzero (sel selects them within cells): the piece's
+        grid size and their indices re-centred on that grid."""
+        k1, k2 = self.k[0][cells], self.k[1][cells]
+        sel = slice(None)
+        if not np.all(values):
+            sel = values != 0
+            k1, k2 = k1[sel], k2[sel]
+        lo1, hi1, lo2, hi2 = k1.min(), k1.max(), k2.min(), k2.max()
+        D = int(max(hi1 - lo1, hi2 - lo2))
+        M = max(16, 1 << (2 * D + 1).bit_length())
+        if M >= self.N:
+            return self.N, None, None, None
+        return (M, (k1 - (lo1 + hi1) // 2) % M, (k2 - (lo2 + hi2) // 2) % M,
+                sel)
+
+    def _upsample(self, levels):
+        """The M x M level sums zero-padded in frequency to one N x N field.
+
+        A level holds (N/M)^4 times the plain |piece|^2 (an M-point ifft2
+        has (N/M)^2 times the amplitude); the fft2 on M points and ifft2 on
+        N points scale by (M/N)^2, the padded spectrum by another (M/N)^2.
+        """
+        N = self.N
+        spec = np.zeros((N, N), dtype=complex)
+        for M in sorted(levels):
+            h = M // 2
+            src = np.r_[0:h, M - h + 1:M]
+            dst = np.r_[0:h, N - h + 1:N]
+            level = scipy.fft.fft2(levels[M], overwrite_x=True)
+            spec[np.ix_(dst, dst)] += level[np.ix_(src, src)] * (M / N) ** 2
+        return scipy.fft.ifft2(spec, overwrite_x=True).real
+
+
+def _mod2(piece):
+    """|piece|^2 in one fresh array."""
+    mod2 = np.square(piece.real)
+    mod2 += np.square(piece.imag)
+    return mod2
 
 
 def _log_trapezoid_weights(t_grid, single):

@@ -16,32 +16,47 @@ _RADIAL_PAD = 2.0   # enlargement of the shell width, in transition units
 _ANGULAR_PAD = 2.0  # enlargement of the tau window, in cut-width units
 
 
+def _radial_window(lib, m):
+    """[s_lo, s_hi], in s = log(rho 2^-n) / log r, where tile_bump's radial
+    factor for shell m is 1; it vanishes outside (1.5 s_lo - 0.5 s_hi,
+    1.5 s_hi - 0.5 s_lo).
+
+    supp of psi_m phi0 lies in [m - 1/2 - w, m + 1/2 + w] (w = 1/8, half
+    of the 0.25 radial step width), padded by _RADIAL_PAD * w; end members
+    of the psi family extend to the phi0 cutoff instead.
+    """
+    w = 0.125
+    s_lo = m - 0.5 - (1.0 + _RADIAL_PAD) * w
+    s_hi = m + 0.5 + (1.0 + _RADIAL_PAD) * w
+    if m == lib.m_lo:
+        s_lo = min(s_lo, np.log(0.25) / lib.log_r - 1.0)
+    if m == lib.m_hi:
+        s_hi = max(s_hi, np.log(4.0) / lib.log_r + 1.0)
+    return s_lo, s_hi
+
+
+def _tile_rho_support(lib, idx):
+    """(lo, hi): tile_bump(lib, idx, ...) vanishes at rho <= lo and rho >= hi."""
+    s_lo, s_hi = _radial_window(lib, int(lib.tiling.m_idx[idx]))
+    scale = 2.0 ** float(lib.tiling.n_idx[idx])
+    return (scale * np.exp(lib.log_r * (1.5 * s_lo - 0.5 * s_hi)),
+            scale * np.exp(lib.log_r * (1.5 * s_hi - 0.5 * s_lo)))
+
+
 def tile_bump(lib, idx, rho, omega):
     """Enlarged bump for tile idx: 1 on supp sigma, 0 outside a dilate.
 
-    Radial part: sigma's radial factor lives in s = log(rho 2^-n) / log r
-    within [m - 1/2 - w, m + 1/2 + w] (w = transition half width) clipped
-    to the shell range; the bump is a plateau over a window padded by
-    _RADIAL_PAD * w.  Angular part: same construction in tau.
+    Radial part: a plateau in s = log(rho 2^-n) / log r over
+    _radial_window.  Angular part: same construction in tau.
     """
     tiling = lib.tiling
     i = int(tiling.sector_idx[idx])
     j = int(tiling.j_idx[idx])
-    m = int(tiling.m_idx[idx])
     n = int(tiling.n_idx[idx])
-    logr = lib.log_r
-    w = 0.125  # half of the 0.25 radial step width, in s units
 
     safe = np.where(rho > 0, rho, 1.0)
-    s = np.log(safe * 2.0 ** (-float(n))) / logr
-    # radial window: supp of psi_m phi0 lies in [m - 1/2 - w, m + 1/2 + w];
-    # end members of the psi family extend to the phi0 cutoff instead
-    s_lo = m - 0.5 - (1.0 + _RADIAL_PAD) * w
-    s_hi = m + 0.5 + (1.0 + _RADIAL_PAD) * w
-    if m == lib.m_lo:
-        s_lo = min(s_lo, np.log(0.25) / logr - 1.0)
-    if m == lib.m_hi:
-        s_hi = max(s_hi, np.log(4.0) / logr + 1.0)
+    s = np.log(safe * 2.0 ** (-float(n))) / lib.log_r
+    s_lo, s_hi = _radial_window(lib, int(tiling.m_idx[idx]))
     c = 0.5 * (s_lo + s_hi)
     rad = plateau((s - c) / (s_hi - s_lo))
     rad = np.where(rho > 0, rad, 0.0)
@@ -70,8 +85,10 @@ def tile_bump(lib, idx, rho, omega):
 def tile_projection_square_function(pair, delta, f, lib):
     """sqrt(sum over tiles |P~_{i,j,m,n} f|^2) with enlarged tile bumps.
 
-    Tiles whose symbol vanishes on the support of f-hat contribute exactly
-    zero and are skipped; the result carries the count as .tiles_used.
+    Tiles whose bump misses every bank cell in rho contribute exactly zero
+    and are skipped, as are tiles with no live cell of f-hat near them;
+    each bump is evaluated on the bank cells of its rho support only.  The
+    result carries the count of non-empty pieces as .tiles_used.
     """
     tiling = lib.tiling
     bank = SpectralBank(pair, f)
@@ -79,10 +96,12 @@ def tile_projection_square_function(pair, delta, f, lib):
     live = amp > 1e-10 * max(np.max(amp, initial=0.0), 1e-300)
     rho_live = bank.rho[live]
     omega_live = bank.omega[live]
-    everywhere = slice(None)
 
     def pieces():
         for idx in range(tiling.size):
+            cells = bank.between(*_tile_rho_support(lib, idx))
+            if cells.start == cells.stop:
+                continue
             rl = tiling.rho_lo[idx] / 4.0
             rh = tiling.rho_hi[idx] * 4.0
             sel = (rho_live >= rl) & (rho_live <= rh)
@@ -93,7 +112,8 @@ def tile_projection_square_function(pair, delta, f, lib):
             span = 4.0 * (lib.half_widths[i_sec] + 0.25)
             if not np.any(np.mod(omega_live[sel] - wlo, 2.0 * np.pi) <= span):
                 continue
-            yield 1.0, everywhere, tile_bump(lib, idx, bank.rho, bank.omega)
+            yield 1.0, cells, tile_bump(lib, idx, bank.rho[cells],
+                                        bank.omega[cells])
 
     out, used = bank.reduce(pieces(), "sum")
     out.tiles_used = used

@@ -24,6 +24,15 @@ def test_decompose_writes_deterministic_outputs(tmp_path):
     assert rep["Q"] > 0 and len(rep["points"]) == rep["Q"] + 1
 
 
+def test_sqfn_scaling_reruns_are_byte_identical(tmp_path):
+    codes = [_run(["sqfn-scaling", "--grid", "64,6", "--out",
+                   str(tmp_path / out)]) for out in ("a", "b")]
+    assert codes[0] == codes[1]
+    for name in ("sqfn_scaling.json", "sqfn_scaling.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
 def test_tile_csv_has_rows(tmp_path):
     code = _run(["tile", "--delta", "0.0625", "--out", str(tmp_path)])
     assert code == 0

@@ -79,6 +79,32 @@ def test_active_t_grid_step_guard(disk_pair):
         active_t_grid(disk_pair, f, 2.0 ** -4, step=2.0 ** -4)
 
 
+def test_active_t_grid_starts_at_the_first_live_scale(disk_pair):
+    # the Gaussian's f-hat is live at the origin, so the lattice itself
+    # starts at rho = 1e-12; the trimmed grid must be a suffix of it whose
+    # dropped scales all carry exactly zero pieces
+    N, L, delta = 64, 6.0, 2.0 ** -3
+    f = dict(standard_family(disk_pair, N, L, delta))["gaussian"]
+    rho, _ = rho_omega_grid(disk_pair, N, L)
+    amp = np.abs(f.to_frequency().values)
+    live = amp > 1e-12 * amp.max()
+    assert live[N // 2, N // 2] and rho[N // 2, N // 2] == 0.0
+    step = delta / 8.0
+    lo = np.log(1e-12 / (1.0 + delta)) - 2 * step
+    hi = np.log(float(rho[live].max()) / (1.0 - delta)) + 2 * step
+    lattice = np.exp(np.arange(lo, hi + step, step))
+    t_grid = active_t_grid(disk_pair, f, delta)
+    assert 1 < len(t_grid) < len(lattice) // 2
+    assert np.array_equal(t_grid, lattice[len(lattice) - len(t_grid):])
+    pos = rho[live & (rho > 0)]
+    t0, t1 = t_grid[:2]
+    assert not np.any((pos > t0 * (1.0 - delta)) & (pos < t0 * (1.0 + delta)))
+    assert np.any((pos > t1 * (1.0 - delta)) & (pos < t1 * (1.0 + delta)))
+    got = square_function_annulus(disk_pair, f, delta)
+    want = square_function_annulus(disk_pair, f, delta, t_grid=lattice)
+    assert np.array_equal(got.values, want.values)
+
+
 def test_square_function_single_ring_oracle(disk_pair):
     # spectrum on a single thin ring rho ~ 1: every t-piece is a scalar
     # multiple of f, so S f = c |f| with
