@@ -8,6 +8,13 @@ with rho = rho(xi) and omega the orbit-projected boundary angle, both
 invariant data of the pair.  All four families are built from a single
 one-sided smooth step, so each family telescopes to exactly 1 and the
 total sum is identically 1 wherever the dyadic range covers rho.
+
+Generation n of the partition sits at rho ~ ratio^m 2^n, while generation
+n of the tiling sits at ratio^m 4^n (the two agree at n = 0).  What applies
+sigma reads the 2^n shells: sigma itself, lwp.tile_bump, and
+maximal.kernel_maximal through BumpLibrary.member_rho_window.  The tile
+membership tests, Tiling.multiplicity and the overlap counters read the
+tiling's own 4^n windows.
 """
 
 import numpy as np
@@ -53,7 +60,6 @@ class BumpLibrary(object):
 
     def __init__(self, tiling):
         self.tiling = tiling
-        self.pair = tiling.pair
         self.delta = tiling.delta
         self.log_r = np.log(tiling.ratio)
         self.m_lo, self.m_hi = tiling.m_lo, tiling.m_hi
@@ -65,21 +71,26 @@ class BumpLibrary(object):
         self.cut_widths = 0.25 * np.minimum(widths, np.roll(widths, 1))
         self.mids = self.cuts + 0.5 * widths
         self.half_widths = 0.5 * widths
-        # per-sector tangential step data from the retained intervals
-        self._tau_edges = []
-        self._tau_widths = []
+        # per-sector retained intervals and tau step data, from the arcs
+        arcs = tiling.arcs
+        self._js, self._tau_edges, self._tau_widths = [], [], []
         for s in sectors:
-            sel = tiling.sector_idx == s.index
-            tlo = np.unique(tiling.tau_lo[sel])
-            thi = np.unique(tiling.tau_hi[sel])
-            edges = np.unique(np.concatenate([tlo, thi]))
+            sel = arcs.sector_idx == s.index
+            edges = np.unique(np.concatenate([arcs.tau_lo[sel], arcs.tau_hi[sel]]))
             lengths = np.diff(edges)
             w = np.empty(len(edges))
             w[1:-1] = 0.25 * np.minimum(lengths[:-1], lengths[1:])
             w[0] = 0.25 * lengths[0]
             w[-1] = 0.25 * lengths[-1]
+            self._js.append(arcs.j_idx[sel])
             self._tau_edges.append(edges)
             self._tau_widths.append(w)
+        # rho windows of the partition members per shell: generation n sits
+        # at ratio^m 2^n (tiles sit at ratio^m 4^n), as in sigma below
+        shells = tiling.shells
+        scale = tiling.ratio ** shells.m_idx * 2.0 ** shells.n_idx
+        self._member_lo = scale * (1.0 - 2.0 * self.delta)
+        self._member_hi = scale * (1.0 + 2.0 * self.delta)
 
     # -- radial families -----------------------------------------------------
 
@@ -138,15 +149,11 @@ class BumpLibrary(object):
 
     def _local_index(self, i, j):
         """Position of global interval j among sector i's retained edges."""
-        sel = (self.tiling.sector_idx == i)
-        js = np.unique(self.tiling.j_idx[sel])
+        js = self._js[i]
         pos = np.searchsorted(js, j)
         if pos >= len(js) or js[pos] != j:
             raise ConfigError("interval %d not retained in sector %d" % (j, i))
         return pos
-
-    def retained_j(self, i):
-        return np.unique(self.tiling.j_idx[self.tiling.sector_idx == i])
 
     # -- the partition ---------------------------------------------------------
 
@@ -156,15 +163,11 @@ class BumpLibrary(object):
         return (phi0(r) * self.psi(m, r)
                 * self.Psi(i, omega) * self.T(i, j, omega))
 
-    def sigma_at(self, indices, xi):
-        """sigma at raw frequency points xi (shape (..., 2))."""
-        i, j, m, n = indices
-        rho = self.pair.rho(xi)
-        omega = np.zeros_like(np.asarray(rho, dtype=float))
-        nz = np.asarray(rho) > 0
-        if np.any(nz):
-            omega = self.pair.boundary_angle(np.asarray(xi, dtype=float), rho)
-        return self.sigma(i, j, m, n, rho, omega)
+    def member_rho_window(self, k):
+        """[lo, hi] = ratio^m 2^n (1 -+ 2 delta) for tile k's shell (m, n):
+        the shell where sigma_{i,j,m,n} lives, not the tile's own 4^n."""
+        s = k % self.tiling.n_shells
+        return self._member_lo[s], self._member_hi[s]
 
     def sum_sigma(self, rho, omega):
         """Sum over every index of the partition (term-by-term in each
@@ -189,7 +192,7 @@ class BumpLibrary(object):
             if not np.any(active):
                 continue
             tang = np.zeros(int(np.sum(active)))
-            for j in self.retained_j(i):
+            for j in self._js[i]:
                 tang += self.T(i, j, np.asarray(omega)[active])
             angular[active] += w[active] * tang
         return radial * angular

@@ -28,9 +28,6 @@ class GridField(object):
         self.space = space
         self.h = 2.0 * L / N
 
-    def x(self):
-        return self.h * np.arange(-self.N // 2, self.N // 2)
-
     def xi(self):
         return frequency_grid(self.N, self.L)
 

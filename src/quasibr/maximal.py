@@ -212,7 +212,8 @@ def kernel_maximal(pair, delta, f, lib):
     Computed spectrally: for each tile whose support meets f's spectrum and
     each t with a nonzero annulus overlap, apply the multiplier
     plateau((rho/t - 1)/delta) sigma_{i,j,m,n} and take pointwise maxima of
-    the moduli; t runs on a log grid of step delta/8 over the active window.
+    the moduli; t runs on a log grid of step delta/8 over the active window
+    of the shell where sigma_{i,j,m,n} lives (lib.member_rho_window).
     """
     tiling = lib.tiling
     bank = SpectralBank(pair, f)
@@ -225,8 +226,9 @@ def kernel_maximal(pair, delta, f, lib):
     def pieces():
         for idx in range(tiling.size):
             # quick support screen against f's spectrum
-            rl = tiling.rho_lo[idx] / (1.0 + 4.0 * delta)
-            rh = tiling.rho_hi[idx] * (1.0 + 4.0 * delta)
+            rho_lo, rho_hi = lib.member_rho_window(idx)
+            rl = rho_lo / (1.0 + 4.0 * delta)
+            rh = rho_hi * (1.0 + 4.0 * delta)
             band = (rho_live >= rl) & (rho_live <= rh)
             if not np.any(band):
                 continue
@@ -242,8 +244,8 @@ def kernel_maximal(pair, delta, f, lib):
             if cells.size == 0:
                 continue
             sym, rho = sym[cells], bank.rho[cells]
-            lo = np.log(tiling.rho_lo[idx] / (1.0 + delta)) - step
-            hi = np.log(tiling.rho_hi[idx] / (1.0 - delta)) + step
+            lo = np.log(rho_lo / (1.0 + delta)) - step
+            hi = np.log(rho_hi / (1.0 - delta)) + step
             for s in np.arange(lo, hi + step, step):
                 yield 1.0, cells, annulus_cutoff(delta, np.exp(s))(rho) * sym
 

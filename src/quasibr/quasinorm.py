@@ -78,14 +78,17 @@ def eval_rho(pair, xi):
             step = min(step * 2.0, 16.0)
         else:
             raise ConfigError("rho root not bracketed in t range [2^-60, 2^60]")
-        # bisection in s = log2 t down to relative tolerance 1e-12 in t
+        # bisection in s = log2 t down to relative tolerance 1e-12 in t; each
+        # point stops at its own bracket width, so its rho does not depend
+        # on the other points of the batch
         for _ in range(64):
+            active = hi - lo >= _REL_TOL
+            if not active.any():
+                break
             mid = 0.5 * (lo + hi)
             outside = _signed_outside(pair, mid, p) > 0.0
-            lo = np.where(outside, mid, lo)
-            hi = np.where(outside, hi, mid)
-            if np.max(hi - lo) < _REL_TOL:
-                break
+            lo = np.where(active & outside, mid, lo)
+            hi = np.where(active & ~outside, mid, hi)
         out[nz] = 2.0 ** (0.5 * (lo + hi))
     out = out.reshape(xi.shape[:-1])
     return float(out) if scalar else out

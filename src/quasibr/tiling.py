@@ -4,11 +4,19 @@ Sectors are built by walking the boundary counterclockwise: each sector
 gets a rotation placing its arc inside the graph window {|x1| <= 1/2},
 and the union of windows covers the boundary.  Tiles are curved boxes
 bounded by two quasinorm level sets rho = s(1 +- 2 delta) and two dilation
-orbits through refined cap endpoints; dyadic generations are dilates by
-(2^{2n})^A.  Membership reduces to two interval tests in the invariant
-coordinates (rho, omega), where omega is the polar angle of the orbit
-projection onto the boundary.
+orbits through refined cap endpoints.  Membership reduces to two interval
+tests in the invariant coordinates (rho, omega), where omega is the polar
+angle of the orbit projection onto the boundary.
+
+The family is a product: an arc is one (sector i, interval I_j) with its
+tau and omega windows, a shell one (m, n) with its rho window, and tile k
+is arc k // n_shells times shell k % n_shells.  Tile generation n sits at
+rho ~ ratio^m 4^n (dilates by (2^{2n})^A), which membership, multiplicity
+and the overlap counters read; the partition sigma_{i,j,m,n} and what
+applies it sit at ratio^m 2^n (see bumps).  The two agree at n = 0.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,8 +47,6 @@ class Sector(object):
         self.omega_end = float(omega_end)
         self.rotation = float(rotation)
         self.domain = domain
-        self.seed = domain.boundary_point(omega_start)
-        self.seed_end = domain.boundary_point(omega_end)
         self.arc = boundary_arc(domain, rotation)
 
     @property
@@ -151,10 +157,29 @@ class Tile(object):
         return np.array([lo - pad, hi + pad])
 
 
+ARC_FIELDS = ("sector_idx", "j_idx", "tau_lo", "tau_hi", "omega_lo", "omega_hi")
+SHELL_FIELDS = ("m_idx", "n_idx", "rho_lo", "rho_hi")
+
+
+def _sector_arcs(sector, delta):
+    """Arc columns (ARC_FIELDS) of one sector: its refined intervals that
+    meet the sector's own angular window, with a small margin for the bump
+    transitions."""
+    iv = np.asarray(decompose(sector.arc, delta).refined)
+    t0 = -TAU_WINDOW - 0.02
+    t1 = sector.tau_of_omega(sector.omega_end) + 0.02
+    keep = (iv[:, 1] >= t0) & (iv[:, 0] <= t1)
+    j = np.flatnonzero(keep)
+    omega = sector.omega_of_tau(iv[keep])
+    return (np.full(len(j), sector.index), j, iv[keep, 0], iv[keep, 1],
+            omega[:, 0], omega[:, 1])
+
+
 class Tiling(object):
     """The full family {B_{i,j,m,n}} for one pair and delta.
 
-    Flat arrays indexed per tile; Tile(self, k) gives an object view.
+    self.arcs / self.shells hold the ARC_FIELDS / SHELL_FIELDS columns; the
+    same names on self are the per-tile arrays.  Tile(self, k) is a view.
     """
 
     def __init__(self, pair, delta, n_range=(0, 0)):
@@ -166,47 +191,23 @@ class Tiling(object):
         self.sectors = build_sectors(pair)
         self.ratio = (1.0 + 2.0 * delta) / (1.0 - 2.0 * delta)
         self.m_lo, self.m_hi = m_shell_range(delta)
-        self.decomps = []
-        sector_idx, j_idx, tau_lo, tau_hi, omega_lo, omega_hi = [], [], [], [], [], []
-        for s in self.sectors:
-            dec = decompose(s.arc, delta)
-            self.decomps.append(dec)
-            # keep intervals meeting the sector's own angular window with a
-            # small margin for the bump transitions
-            t0 = -TAU_WINDOW - 0.02
-            t1 = s.tau_of_omega(s.omega_end) + 0.02
-            for j, (a, b) in enumerate(dec.refined):
-                if b < t0 or a > t1:
-                    continue
-                wa, wb = s.omega_of_tau(a), s.omega_of_tau(b)
-                sector_idx.append(s.index)
-                j_idx.append(j)
-                tau_lo.append(a)
-                tau_hi.append(b)
-                omega_lo.append(wa)
-                omega_hi.append(wb)
-        base_i = np.asarray(sector_idx, dtype=int)
-        base_j = np.asarray(j_idx, dtype=int)
-        base_tlo = np.asarray(tau_lo)
-        base_thi = np.asarray(tau_hi)
-        base_wlo = np.asarray(omega_lo)
-        base_whi = np.asarray(omega_hi)
+        cols = zip(*(_sector_arcs(s, delta) for s in self.sectors))
+        self.arcs = SimpleNamespace(
+            **{f: np.concatenate(c) for f, c in zip(ARC_FIELDS, cols)})
         ms = np.arange(self.m_lo, self.m_hi + 1)
         ns = np.arange(self.n_lo, self.n_hi + 1)
-        nb, nm, nn = len(base_i), len(ms), len(ns)
-        rep = nm * nn
-        self.sector_idx = np.repeat(base_i, rep)
-        self.j_idx = np.repeat(base_j, rep)
-        self.tau_lo = np.repeat(base_tlo, rep)
-        self.tau_hi = np.repeat(base_thi, rep)
-        self.omega_lo = np.repeat(base_wlo, rep)
-        self.omega_hi = np.repeat(base_whi, rep)
-        self.m_idx = np.tile(np.repeat(ms, nn), nb)
-        self.n_idx = np.tile(np.tile(ns, nm), nb)
-        scale = self.ratio ** self.m_idx * 4.0 ** self.n_idx
-        self.rho_lo = scale * (1.0 - 2.0 * delta)
-        self.rho_hi = scale * (1.0 + 2.0 * delta)
-        self.size = len(self.rho_lo)
+        m_idx, n_idx = np.repeat(ms, len(ns)), np.tile(ns, len(ms))
+        scale = self.ratio ** m_idx * 4.0 ** n_idx
+        self.shells = SimpleNamespace(m_idx=m_idx, n_idx=n_idx,
+                                      rho_lo=scale * (1.0 - 2.0 * delta),
+                                      rho_hi=scale * (1.0 + 2.0 * delta))
+        self.n_shells = len(m_idx)
+        n_arcs = len(self.arcs.sector_idx)
+        for f in ARC_FIELDS:
+            setattr(self, f, np.repeat(getattr(self.arcs, f), self.n_shells))
+        for f in SHELL_FIELDS:
+            setattr(self, f, np.tile(getattr(self.shells, f), n_arcs))
+        self.size = n_arcs * self.n_shells
 
     def tile(self, k):
         return Tile(self, k)
@@ -236,31 +237,20 @@ class Tiling(object):
         return out.reshape(shape + (len(idx),))
 
     def multiplicity(self, points, rho_vals=None, omega_vals=None):
-        """Number of tiles containing each point (vectorized)."""
+        """Number of tiles containing each point: (arcs holding omega) x
+        (shells holding rho), by the two tests of contains at tol = 0."""
         points = np.asarray(points, dtype=float)
         if rho_vals is None:
             rho_vals = self.pair.rho(points)
         if omega_vals is None:
             omega_vals = self.pair.boundary_angle(points, rho_vals)
-        count = np.zeros(np.shape(rho_vals), dtype=int)
-        # group tiles by (sector, j): the (m, n) block shares omega windows
-        order = np.lexsort((self.n_idx, self.m_idx, self.j_idx, self.sector_idx))
-        changed = ((np.diff(self.sector_idx[order]) != 0)
-                   | (np.diff(self.j_idx[order]) != 0))
-        block_starts = np.concatenate(
-            [[0], np.flatnonzero(changed) + 1, [self.size]])
-        for bs, be in zip(block_starts[:-1], block_starts[1:]):
-            ks = order[bs:be]
-            k0 = ks[0]
-            in_omega = _in_arc(omega_vals, self.omega_lo[k0], self.omega_hi[k0])
-            if not np.any(in_omega):
-                continue
-            rho_sub = rho_vals[in_omega]
-            c = np.zeros(len(rho_sub), dtype=int)
-            for k in ks:
-                c += (rho_sub >= self.rho_lo[k]) & (rho_sub <= self.rho_hi[k])
-            count[in_omega] += c
-        return count
+        in_arcs = np.zeros(np.shape(omega_vals), dtype=int)
+        for lo, hi in zip(self.arcs.omega_lo, self.arcs.omega_hi):
+            in_arcs += _in_arc(omega_vals, lo, hi)
+        in_shells = np.zeros(np.shape(rho_vals), dtype=int)
+        for lo, hi in zip(self.shells.rho_lo, self.shells.rho_hi):
+            in_shells += (rho_vals >= lo) & (rho_vals <= hi)
+        return in_arcs * in_shells
 
 
 # -- overlap counting ---------------------------------------------------------

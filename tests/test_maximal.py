@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from quasibr.bumps import BumpLibrary
 from quasibr.dilation import DilationGroup
 from quasibr.errors import ConfigError
 from quasibr.grid import GridField
 from quasibr.maximal import (RectangleFamily, _coverage, _rect_average,
-                             _shifted, nikodym_maximal,
+                             _shifted, kernel_maximal, nikodym_maximal,
                              nikodym_maximal_scale, focusing_function,
                              translation_offsets, weak11_probe)
+from quasibr.quasinorm import rho_omega_grid
+from quasibr.tiling import Tiling
 
 
 def test_coverage_axis_aligned_exact():
@@ -132,3 +135,20 @@ def test_weak11_ratio_bounded():
     f = GridField(N, L, vals, "physical")
     rows = weak11_probe(f, fam, alphas=[0.1, 0.5, 1.0, 2.0])
     assert all(r["ratio"] <= 1.0 for r in rows)
+
+
+def test_kernel_maximal_reaches_generation_one(disk_pair):
+    # a band at rho ~ 3 meets partition members of generation n = 1, which
+    # sit at ratio^m 2 (tiles of generation 1 sit at ratio^m 4): the t-window
+    # and the screen must follow the member's shell, or nothing is applied
+    N, L, delta = 128, 6.0, 2.0 ** -4
+    lib = BumpLibrary(Tiling(disk_pair, delta, n_range=(-1, 1)))
+    rho, omega = rho_omega_grid(disk_pair, N, L)
+    band = (np.abs(rho - 3.0) < 0.1) & (np.abs(omega) < 0.3)
+    assert np.count_nonzero(band) == 130
+    rng = np.random.default_rng(0)
+    spec = np.where(band, np.exp(2j * np.pi * rng.random((N, N))), 0)
+    f = GridField(N, L, spec, "frequency")
+    mf = kernel_maximal(disk_pair, delta, f, lib)
+    ratio = mf.norm(2) / f.to_physical().norm(2)
+    assert ratio > 0.1

@@ -99,3 +99,22 @@ def test_rho_grid_cache_survives_pair_reuse():
             assert np.allclose(rho, eval_rho(pair, xi), rtol=1e-12, atol=0.0), \
                 (cycle, radius)
             del pair, rho
+
+
+_DISK_GROUPS = {"jordan": [[1.0, 0.5], [0.0, 1.0]],
+                "complex": [[1.0, -0.5], [0.5, 1.0]]}
+
+
+@pytest.mark.parametrize("name", ["disk_aniso_pair", "jordan", "complex",
+                                  "disk_pair", "hexagon_pair"])
+def test_rho_of_a_point_does_not_depend_on_its_batch(request, name):
+    # each point stops bisecting at its own bracket width, so rho evaluated
+    # one point at a time is bit-equal to rho inside a larger batch
+    if name in _DISK_GROUPS:
+        pair = check_compatibility(Disk(10.0), np.array(_DISK_GROUPS[name]))
+    else:
+        pair = request.getfixturevalue(name)
+    xi = np.random.default_rng(5).normal(scale=20.0, size=(2000, 2))
+    batch = eval_rho(pair, xi)
+    alone = np.array([eval_rho(pair, x) for x in xi[:300]])
+    assert np.array_equal(alone, batch[:300])

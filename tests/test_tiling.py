@@ -52,19 +52,30 @@ def test_delta_range_guard(disk_pair):
         Tiling(disk_pair, 0.25)
 
 
-def test_multiplicity_covers_annulus(disk_pair):
+@pytest.mark.parametrize("name", ["disk_pair", "disk_aniso_pair",
+                                  "hexagon_pair"])
+def test_multiplicity_covers_annulus(request, name):
+    pair = request.getfixturevalue(name)
     delta = 2.0 ** -5
-    tiling = Tiling(disk_pair, delta, n_range=(-1, 1))
+    tiling = Tiling(pair, delta, n_range=(-1, 1))
+    # the layout: tile k is arc k // n_shells times shell k % n_shells
+    arc, shell = np.divmod(np.arange(tiling.size), tiling.n_shells)
+    assert tiling.size == len(tiling.arcs.sector_idx) * tiling.n_shells
+    for f in ("omega_lo", "omega_hi", "sector_idx", "j_idx"):
+        assert np.array_equal(getattr(tiling, f), getattr(tiling.arcs, f)[arc])
+    for f in ("rho_lo", "rho_hi", "m_idx", "n_idx"):
+        assert np.array_equal(getattr(tiling, f),
+                              getattr(tiling.shells, f)[shell])
     rng = np.random.default_rng(0)
     ang = rng.uniform(-np.pi, np.pi, 4000)
     lev = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4000))
-    pts = disk_pair.group.apply(lev, disk_pair.domain.boundary_point(ang))
+    pts = pair.group.apply(lev, pair.domain.boundary_point(ang))
     mult = tiling.multiplicity(pts)
     assert mult.min() >= 1       # covering
     assert mult.max() <= 8       # bounded overlap
-    # the per-tile count, without the (sector, interval) blocking
-    rho = disk_pair.rho(pts[:400])
-    omega = disk_pair.boundary_angle(pts[:400], rho)
+    # the per-tile count, without the arc x shell factoring
+    rho = pair.rho(pts[:400])
+    omega = pair.boundary_angle(pts[:400], rho)
     want = sum(_in_arc(omega, tiling.omega_lo[k], tiling.omega_hi[k])
                & (rho >= tiling.rho_lo[k]) & (rho <= tiling.rho_hi[k])
                for k in range(tiling.size))
