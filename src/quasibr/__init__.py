@@ -11,7 +11,7 @@ from .quasinorm import CompatiblePair, check_compatibility, eval_rho, \
     rho_lipschitz_probe
 from .caps import CapDecomposition, cap_decomposition, refine_intervals, \
     decompose, check_invariants
-from .tiling import Sector, Tile, Tiling, build_sectors, count_sum_overlaps, \
+from .tiling import Sector, Tiling, build_sectors, count_sum_overlaps, \
     count_ball_sum_overlaps, active_time_measure
 from .bumps import smoothstep, plateau, phi0, BumpLibrary, Kernel, \
     full_annulus_symbol, symbol_to_kernel, kernel_build, \
@@ -20,8 +20,8 @@ from .grid import (GridField, bochner_riesz_mean, dyadic_decompose_br,
                    square_function_annulus, square_function_glambda,
                    standard_family, delta_scaling_experiment,
                    hormander_sobolev_norm)
-from .maximal import RectangleFamily, nikodym_maximal, \
-    nikodym_maximal_scale, kernel_maximal, weak11_probe
+from .maximal import RectangleFamily, nikodym_maximal, kernel_maximal, \
+    weak11_probe
 from .lwp import tile_projection_square_function, \
     dyadic_projection_square_function
 from .errors import (ConfigError, GeometryError, IncompatiblePairError,

@@ -224,8 +224,7 @@ class Kernel(object):
     so Plancherel reads ||K||_2 = (2 pi)^-1 ||sigma||_2.
     """
 
-    def __init__(self, indices, values, N, L):
-        self.indices = indices
+    def __init__(self, values, N, L):
         self.values = values
         self.N = int(N)
         self.L = float(L)
@@ -243,7 +242,7 @@ class Kernel(object):
         return np.hypot(X1, X2)
 
 
-def symbol_to_kernel(symbol_values, N, L, indices=None, tail_tol=1e-4):
+def symbol_to_kernel(symbol_values, N, L, tail_tol=1e-4):
     """Inverse transform of frequency samples with continuum weights.
 
     Raises ResolutionError when the outer 10 percent frame of the window
@@ -252,7 +251,7 @@ def symbol_to_kernel(symbol_values, N, L, indices=None, tail_tol=1e-4):
     dxi = np.pi / L
     spec = scipy.fft.ifft2(scipy.fft.ifftshift(symbol_values))
     vals = scipy.fft.fftshift(spec) * (N * dxi / (2.0 * np.pi)) ** 2
-    ker = Kernel(indices, vals, N, L)
+    ker = Kernel(vals, N, L)
     a = np.abs(vals)
     total = float(np.sum(a))
     if total > 0:
@@ -265,13 +264,13 @@ def symbol_to_kernel(symbol_values, N, L, indices=None, tail_tol=1e-4):
     return ker
 
 
-def kernel_build(lib, pair, delta, indices, grid_spec, tail_tol=1e-4):
+def kernel_build(lib, pair, indices, grid_spec, tail_tol=1e-4):
     """Build K_{i,j,m,n} = F[sigma_{i,j,m,n}] on the (N, L) grid."""
     N, L = grid_spec
     rho, omega = rho_omega_grid(pair, N, L)
     i, j, m, n = indices
     sym = lib.sigma(i, j, m, n, rho, omega)
-    return symbol_to_kernel(sym, N, L, indices=indices, tail_tol=tail_tol)
+    return symbol_to_kernel(sym, N, L, tail_tol=tail_tol)
 
 
 def kernel_from_rho_symbol(pair, symbol, grid_spec, tail_tol=1e-4):

@@ -124,8 +124,8 @@ def decompose(arc, delta):
     return CapDecomposition(delta, pts, refined, cap_idx)
 
 
-def check_invariants(arc, decomp, tol=1e-10):
-    """Max violations of the cap conditions; all should be <= tol.
+def check_invariants(arc, decomp):
+    """Max violations of the cap conditions, each <= 0 up to rounding.
 
     Returns a dict with the worst slack of
       left:  G(a_{l+1}, a_l) - delta          (must be <= 0)

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bumps import BumpLibrary, full_annulus_symbol, kernel_build, \
-    kernel_from_rho_symbol, plateau
+from .bumps import BumpLibrary, full_annulus_symbol, kernel_annulus_l1, \
+    kernel_build, kernel_from_rho_symbol, plateau
 from .caps import decompose
 from .dilation import DilationGroup
 from .domains import _finite, boundary_arc, domain_from_config
@@ -29,7 +29,10 @@ from .lwp import tile_projection_square_function
 from .maximal import RectangleFamily, focusing_function, kernel_maximal, \
     nikodym_maximal
 from .quasinorm import check_compatibility, rho_omega_grid
-from .tiling import Tiling, count_sum_overlaps, active_time_measure
+from .tiling import Tiling, active_time_measure, count_sum_overlaps, \
+    sector0_band
+
+_CONFIG_KEYS = ("A", "domain", "rotation")
 
 
 def _load_config(path):
@@ -37,9 +40,16 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError("unknown config key %r; known keys are %s"
+                          % (unknown[0], ", ".join(_CONFIG_KEYS)))
+    return cfg
 
 
 def _config_hash(cfg):
@@ -172,7 +182,8 @@ def cmd_active_time(args, cfg):
                        replace=False)
     rows = []
     for k in picks:
-        meas = active_time_measure(tiling.tile(int(k)), pair, args.delta)
+        meas = active_time_measure(tiling.rho_lo[k], tiling.rho_hi[k],
+                                   args.delta)
         rows.append((int(k), meas, meas / args.delta))
     _write_csv(_out_path(args, "active_time.csv"),
                ["tile", "measure", "measure_over_delta"], rows)
@@ -193,14 +204,12 @@ def cmd_kernel_l1(args, cfg):
             raise ConfigError("indices must be i,j,m,n")
         tiling = Tiling(pair, args.delta)
         lib = BumpLibrary(tiling)
-        kern = kernel_build(lib, pair, args.delta, idx, (N, L),
-                            tail_tol=args.tail_tol)
+        kern = kernel_build(lib, pair, idx, (N, L), tail_tol=args.tail_tol)
     else:
         sym = full_annulus_symbol(args.l)
         kern = kernel_from_rho_symbol(pair, sym, (N, L),
                                       tail_tol=args.tail_tol)
     unit = 1.0 / pair.domain.max_radius()
-    from .bumps import kernel_annulus_l1
     rows = [(k, kernel_annulus_l1(kern, k, unit=unit))
             for k in range(args.k_min, args.k_max + 1)]
     _write_csv(_out_path(args, "kernel_l1.csv"), ["k", "value"], rows)
@@ -213,7 +222,7 @@ def cmd_kernel_l1(args, cfg):
 def cmd_sqfn_scaling(args, cfg):
     pair = _build_pair(cfg)
     rep = delta_scaling_experiment(pair, args.deltas, args.grid,
-                                   family=args.family, seed=args.seed)
+                                   seed=args.seed)
     rows = [(d, r, fid) for d in rep.deltas
             for fid, r in sorted(rep.ratios[d].items())]
     _write_csv(_out_path(args, "sqfn_scaling.csv"),
@@ -222,7 +231,7 @@ def cmd_sqfn_scaling(args, cfg):
     payload["pass"] = bool(payload["slope"] >= args.slope_min)
     _write_json(_out_path(args, "sqfn_scaling.json"), payload, cfg,
                 {"deltas": args.deltas, "grid": list(args.grid),
-                 "family": args.family, "seed": args.seed})
+                 "seed": args.seed})
     if not payload["pass"]:
         raise ThresholdFailure("scaling slope %.3f below %.3f"
                                % (payload["slope"], args.slope_min))
@@ -292,10 +301,7 @@ def _sector0_probe_rows(args, cfg, operator):
     rows = []
     for delta in args.deltas:
         tiling = Tiling(pair, delta)
-        sec = tiling.sectors[0]
-        span = np.mod(sec.omega_end - sec.omega_start, 2 * np.pi)
-        band = (np.abs(rho - 1.0) < delta) & \
-            (np.mod(omega - sec.omega_start, 2 * np.pi) <= span)
+        band = sector0_band(tiling, rho, omega)
         if not np.any(band):
             raise ResolutionError("probe band empty; refine the grid")
         spec = np.where(band, np.exp(2j * np.pi * rng.random((N, N))), 0)
@@ -440,7 +446,6 @@ def build_parser():
     p.add_argument("--deltas", type=_parse_deltas,
                    default=[2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
     p.add_argument("--grid", type=_parse_grid, default=(256, 24.0))
-    p.add_argument("--family", default="std")
     p.add_argument("--slope-min", type=float, default=0.45)
     p.set_defaults(func=cmd_sqfn_scaling)
 

@@ -66,10 +66,6 @@ class DilationGroup(object):
         # mu^2 = a^2 - det(A); C^2 = mu^2 I
         self._mu2 = self._a ** 2 - float(np.linalg.det(A))
 
-    @property
-    def trace(self):
-        return self.A[0, 0] + self.A[1, 1]
-
     def power(self, t):
         """t^A as a (2, 2) array for scalar t, or (..., 2, 2) for array t."""
         t = np.asarray(t, dtype=float)

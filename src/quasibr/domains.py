@@ -278,11 +278,23 @@ def compute_M(domain):
     return M
 
 
+_DOMAIN_FIELDS = {"disk": ("radius",), "superellipse": ("a", "b", "p"),
+                  "polygon": ("vertices",),
+                  "regular-polygon": ("k", "circumradius", "phase")}
+
+
 def domain_from_config(cfg):
     """Build a domain from {"type": ...} configuration dict."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("domain config must be a dict with a 'type' key")
     kind = cfg["type"]
+    fields = _DOMAIN_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigError("unknown domain type %r" % (kind,))
+    unknown = sorted(set(cfg) - {"type"} - set(fields))
+    if unknown:
+        raise ConfigError("unknown %s field %r; known fields are %s"
+                          % (kind, unknown[0], ", ".join(fields)))
     try:
         if kind == "disk":
             dom = Disk(cfg["radius"])
@@ -290,11 +302,9 @@ def domain_from_config(cfg):
             dom = Superellipse(cfg["a"], cfg["b"], cfg["p"])
         elif kind == "polygon":
             dom = Polygon(cfg["vertices"])
-        elif kind == "regular-polygon":
+        else:
             dom = regular_polygon(cfg["k"], cfg["circumradius"],
                                   cfg.get("phase", 0.0))
-        else:
-            raise ConfigError("unknown domain type %r" % (kind,))
     except KeyError as exc:
         raise ConfigError("domain config missing field %s" % exc)
     compute_M(dom)
@@ -362,9 +372,9 @@ class BoundaryArc(object):
         if self._xs[0] > self.T_LO - 0.2 or self._xs[-1] < self.T_HI + 0.2:
             raise GeometryError("lower boundary is not a graph over [-1, 1]")
 
-    def _build_smooth_table(self, samples=24001, halfwidth=0.7):
+    def _build_smooth_table(self):
         center = -np.pi / 2 - self.rotation
-        psi = np.linspace(center - halfwidth, center + halfwidth, samples)
+        psi = np.linspace(center - 0.7, center + 0.7, 24001)
         r = self.domain.radial(psi)
         dr = self.domain.radial_derivative(psi)
         ang = psi + self.rotation

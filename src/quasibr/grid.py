@@ -10,7 +10,7 @@ import scipy.fft
 
 from .bumps import annulus_cutoff, interval_bump, plateau
 from .errors import ConfigError
-from .quasinorm import frequency_grid, rho_omega_grid
+from .quasinorm import rho_omega_grid
 
 
 class GridField(object):
@@ -27,9 +27,6 @@ class GridField(object):
         self.values = values.astype(complex)
         self.space = space
         self.h = 2.0 * L / N
-
-    def xi(self):
-        return frequency_grid(self.N, self.L)
 
     def to_frequency(self):
         if self.space == "frequency":
@@ -55,16 +52,9 @@ class GridField(object):
 
 
 def apply_multiplier(f, symbol):
-    """F^-1[symbol * F f]; symbol is an N x N array on the frequency grid
-    or a callable of (XI1, XI2)."""
+    """F^-1[symbol * F f]; symbol is an N x N array on the frequency grid."""
     spec = f.to_frequency()
-    if callable(symbol):
-        xi = spec.xi()
-        X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-        sym = symbol(X1, X2)
-    else:
-        sym = np.asarray(symbol)
-    out = GridField(f.N, f.L, spec.values * sym, "frequency")
+    out = GridField(f.N, f.L, spec.values * np.asarray(symbol), "frequency")
     return out.to_physical() if f.space == "physical" else out
 
 
@@ -119,7 +109,7 @@ def dyadic_decompose_br(pair, lam, delta_min):
 
 # -- square functions ---------------------------------------------------------
 
-def active_t_grid(pair, f, delta, step=None, pad=2):
+def active_t_grid(pair, f, delta, step=None):
     """Log-spaced scales t where the annulus t(1 +- delta) can meet f's
     spectrum, at log-step <= delta/8, starting one step below the first
     scale that reaches f-hat's smallest nonzero rho > 0."""
@@ -135,8 +125,8 @@ def active_t_grid(pair, f, delta, step=None, pad=2):
         return np.array([1.0])
     rmin = float(rho[live].min())
     rmax = float(rho[live].max())
-    lo = np.log(max(rmin, 1e-12) / (1.0 + delta)) - pad * step
-    hi = np.log(rmax / (1.0 - delta)) + pad * step
+    lo = np.log(max(rmin, 1e-12) / (1.0 + delta)) - 2 * step
+    hi = np.log(rmax / (1.0 - delta)) + 2 * step
     t = np.exp(np.arange(lo, hi + step, step))
     # A scale with t (1 + delta) <= the smallest rho > 0 where f-hat != 0 has
     # an exactly zero piece.  Keep only the last of those leading scales:
@@ -355,19 +345,17 @@ class ScalingReport(object):
                            for d, r in self.ratios.items()}}
 
 
-def delta_scaling_experiment(pair, deltas, grid_spec, family="std", seed=0,
-                             p=4.0):
-    """Fit of log max_f ||S_delta f||_p / ||f||_p against log delta."""
+def delta_scaling_experiment(pair, deltas, grid_spec, seed=0):
+    """Fit of log max_f ||S_delta f||_4 / ||f||_4 against log delta over
+    the standard_family probes."""
     N, L = grid_spec
     ratios = {}
     max_curve = []
     for delta in deltas:
-        fam = (standard_family(pair, N, L, delta, seed=seed)
-               if family == "std" else family(pair, N, L, delta, seed))
         row = {}
-        for name, f in fam:
+        for name, f in standard_family(pair, N, L, delta, seed=seed):
             sf = square_function_annulus(pair, f, delta)
-            row[name] = sf.norm(p) / f.norm(p)
+            row[name] = sf.norm(4) / f.norm(4)
         ratios[delta] = row
         max_curve.append(max(row.values()))
     x = np.log(np.asarray(deltas, dtype=float))
@@ -391,11 +379,10 @@ def _weighted_transform_norm(m, t, alpha, n):
     return float(np.sqrt(np.sum(integrand) * dtau))
 
 
-def hormander_sobolev_norm(m, alpha, t_grid=None, base_n=4096, ladder=4,
-                           rtol=0.002):
+def hormander_sobolev_norm(m, alpha, t_grid=None, base_n=4096, ladder=4):
     """sup over t of the |tau|^alpha-weighted transform norm of phi m(t .).
 
-    Refines the 1-D resolution until the value moves by less than rtol per
+    Refines the 1-D resolution until the value moves by less than 0.2% per
     doubling; returns inf when it never stabilizes (too rough an m for
     this alpha, or marginal convergence).
     """
@@ -409,7 +396,7 @@ def hormander_sobolev_norm(m, alpha, t_grid=None, base_n=4096, ladder=4,
         for _ in range(ladder):
             n *= 2
             cur = _weighted_transform_norm(m, t, alpha, n)
-            if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+            if abs(cur - prev) <= 0.002 * max(abs(cur), 1e-300):
                 val = cur
                 break
             prev = cur

@@ -120,15 +120,16 @@ def tile_projection_square_function(pair, delta, f, lib):
     return out
 
 
-def check_tile_bump_reproduction(pair, delta, lib, n_tiles=40, seed=0):
-    """Max over sampled tiles of |phi * sigma - sigma| on a frequency grid."""
+def check_tile_bump_reproduction(pair, lib, n_tiles=40):
+    """Max over seeded sampled tiles of |phi * sigma - sigma| on each
+    tile's point cloud and a jittered copy of it."""
     tiling = lib.tiling
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     idxs = rng.choice(tiling.size, size=min(n_tiles, tiling.size),
                       replace=False)
+    clouds = tiling.samples(idxs, 120)
     worst = 0.0
-    for idx in idxs:
-        pts = tiling.tile(int(idx)).boundary_samples(120)
+    for idx, pts in zip(idxs, clouds):
         jitter = rng.normal(scale=0.01, size=pts.shape)
         pts = np.vstack([pts, pts + jitter])
         rho = pair.rho(pts)

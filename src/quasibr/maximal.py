@@ -46,12 +46,12 @@ class RectangleFamily(object):
         return V
 
 
-def _coverage(V, h, n_grid, sub=8):
+def _coverage(V, h, n_grid):
     """Cell coverage weights of the convex quadrilateral V on the n_grid^2
     cell grid with spacing h (cells centered at h {-n/2..n/2-1} + h/2...).
 
     Cells are [x_i, x_i + h) with x_i = h (i - n/2).  Interior cells get 1,
-    exterior 0, boundary cells a sub x sub subcell estimate.
+    exterior 0, boundary cells an 8 x 8 subcell estimate.
     """
     # normalize to ccw so the left normals point outward
     area2 = np.sum(V[:, 0] * np.roll(V[:, 1], -1) - np.roll(V[:, 0], -1) * V[:, 1])
@@ -89,6 +89,7 @@ def _coverage(V, h, n_grid, sub=8):
     border = ~inside_all & ~outside_any
     if np.any(border):
         bi, bj = np.nonzero(border)
+        sub = 8
         t = (np.arange(sub) + 0.5) / sub * h
         SX = xs[bi][:, None, None] + t[None, :, None]
         SY = ys[bj][:, None, None] + t[None, None, :]
@@ -173,18 +174,13 @@ def _shifted(a, dx, dy):
     return np.roll(a, (dx, dy), axis=(0, 1))
 
 
-def nikodym_maximal_scale(f, fam, k):
-    """Single-scale version M_{lam, N, k}."""
-    sub = RectangleFamily(fam.lam, fam.N, (k, k), fam.group)
-    return nikodym_maximal(f, sub)
-
-
-def focusing_function(N_grid, L, fam, k=0):
-    """Sum of indicators of family rectangles through the origin."""
+def focusing_function(N_grid, L, fam):
+    """Sum of indicators of the family's scale-0 rectangles through the
+    origin."""
     h = 2.0 * L / N_grid
     vals = np.zeros((N_grid, N_grid))
     for i in range(fam.N):
-        cov, _ = _coverage(fam.corners(i, k), h, N_grid)
+        cov, _ = _coverage(fam.corners(i, 0), h, N_grid)
         vals += cov
     return GridField(N_grid, L, vals, "physical")
 

@@ -17,11 +17,10 @@ _S_LIMIT = 60.0  # bracket expansion limit: t in [2^-60, 2^60]
 class CompatiblePair(object):
     """Validated (domain, group) with the sampled angle theta and rho."""
 
-    def __init__(self, domain, group, theta, theta_samples):
+    def __init__(self, domain, group, theta):
         self.domain = domain
         self.group = group
         self.theta = theta
-        self.theta_samples = theta_samples
         self.M = domain.M
         self._grids = {}  # (N, L) -> (rho, omega), see rho_omega_grid
 
@@ -114,13 +113,12 @@ def rho_omega_grid(pair, N, L):
         rho = eval_rho(pair, xi)
         omega = np.zeros_like(rho)
         nz = rho > 0
-        proj = pair.group.apply(1.0 / np.where(nz, rho, 1.0), xi)
-        omega[nz] = np.arctan2(proj[..., 1], proj[..., 0])[nz]
+        omega[nz] = pair.boundary_angle(xi[nz], rho[nz])
         pair._grids[key] = (rho, omega)
     return pair._grids[key]
 
 
-def check_compatibility(domain, group, samples=2048):
+def check_compatibility(domain, group):
     """Validate single orbit crossing and positive contact angle.
 
     Samples boundary points, checks that the signed position along each
@@ -133,7 +131,7 @@ def check_compatibility(domain, group, samples=2048):
     if getattr(domain, "M", None) is None:
         from .domains import compute_M
         compute_M(domain)
-    pts, dir_pairs = domain.theta_samples(samples)
+    pts, dir_pairs = domain.theta_samples(2048)
     tangents = (group.A @ pts.T).T
     tn = np.hypot(tangents[:, 0], tangents[:, 1])
     theta = np.inf
@@ -146,7 +144,7 @@ def check_compatibility(domain, group, samples=2048):
             "(theta = %.3e)" % theta)
     # single-crossing probe on a coarse subset of directions
     probe = pts[:: max(1, len(pts) // 128)]
-    pair = CompatiblePair(domain, group, theta, samples)
+    pair = CompatiblePair(domain, group, theta)
     s_grid = np.linspace(-6.0, 6.0, 241)
     signs = np.stack([_signed_outside(pair, s, probe) for s in s_grid])
     flips = np.abs(np.diff((signs > 0).astype(np.int8), axis=0))
@@ -159,14 +157,14 @@ def check_compatibility(domain, group, samples=2048):
     return pair
 
 
-def rho_lipschitz_probe(pair, annulus=(0.5, 2.0), samples=4096, seed=0):
-    """Max finite-difference Lipschitz quotient of rho on the rho-annulus."""
-    if annulus[0] <= 0:
-        raise ConfigError("annulus must exclude the origin")
-    rng = np.random.default_rng(seed)
+def rho_lipschitz_probe(pair):
+    """Max finite-difference Lipschitz quotient of rho on the rho-annulus
+    1/2 <= rho <= 2, at 4096 seeded random points."""
+    samples = 4096
+    rng = np.random.default_rng(0)
     ang = rng.uniform(-np.pi, np.pi, samples)
     base = pair.domain.boundary_point(ang)
-    levels = np.exp(rng.uniform(np.log(annulus[0]), np.log(annulus[1]), samples))
+    levels = np.exp(rng.uniform(np.log(0.5), np.log(2.0), samples))
     xi = pair.group.apply(levels, base)  # rho(xi) = levels exactly
     h = 1e-5 * np.max(np.hypot(xi[:, 0], xi[:, 1]))
     dirs = rng.normal(size=(samples, 2))

@@ -118,45 +118,6 @@ def m_shell_range(delta):
     return m_lo, m_hi
 
 
-class Tile(object):
-    """Single tile view with exact membership."""
-
-    def __init__(self, tiling, idx):
-        self.tiling = tiling
-        t = tiling
-        self.k = int(idx)
-        self.i = int(t.sector_idx[idx])
-        self.j = int(t.j_idx[idx])
-        self.m = int(t.m_idx[idx])
-        self.n = int(t.n_idx[idx])
-        self.rho_lo = float(t.rho_lo[idx])
-        self.rho_hi = float(t.rho_hi[idx])
-        self.omega_lo = float(t.omega_lo[idx])
-        self.omega_hi = float(t.omega_hi[idx])
-        self.tau_lo = float(t.tau_lo[idx])
-        self.tau_hi = float(t.tau_hi[idx])
-
-    def contains(self, points, rho_vals=None, tol=0.0):
-        """Exact membership; tol >= 0 dilates the tile (conservative)."""
-        return self.tiling.contains(points, [self.k], rho_vals, tol)[..., 0]
-
-    def boundary_samples(self, n_omega=9, n_rho=3):
-        """Point cloud covering the tile (corners, edges, interior)."""
-        pair = self.tiling.pair
-        w = np.linspace(self.omega_lo, self.omega_hi, n_omega)
-        base = pair.domain.boundary_point(w)
-        rho = np.exp(np.linspace(np.log(self.rho_lo), np.log(self.rho_hi), n_rho))
-        pts = [pair.group.apply(r, base) for r in rho]
-        return np.concatenate(pts)
-
-    def bbox(self, margin_rel=0.02):
-        pts = self.boundary_samples(17, 3)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        pad = margin_rel * np.maximum(hi - lo, 1e-12)
-        return np.array([lo - pad, hi + pad])
-
-
 ARC_FIELDS = ("sector_idx", "j_idx", "tau_lo", "tau_hi", "omega_lo", "omega_hi")
 SHELL_FIELDS = ("m_idx", "n_idx", "rho_lo", "rho_hi")
 
@@ -179,7 +140,7 @@ class Tiling(object):
     """The full family {B_{i,j,m,n}} for one pair and delta.
 
     self.arcs / self.shells hold the ARC_FIELDS / SHELL_FIELDS columns; the
-    same names on self are the per-tile arrays.  Tile(self, k) is a view.
+    same names on self are the per-tile arrays.
     """
 
     def __init__(self, pair, delta, n_range=(0, 0)):
@@ -209,8 +170,26 @@ class Tiling(object):
             setattr(self, f, np.tile(getattr(self.shells, f), n_arcs))
         self.size = n_arcs * self.n_shells
 
-    def tile(self, k):
-        return Tile(self, k)
+    def samples(self, idx, n_omega):
+        """Point clouds covering the tiles of idx: shape (len(idx),
+        3 n_omega, 2), n_omega boundary angles across each tile's arc on
+        its rho_lo, geometric-mean and rho_hi levels (corners, edges)."""
+        idx = np.asarray(idx, dtype=int)
+        w = np.linspace(self.omega_lo[idx], self.omega_hi[idx], n_omega, axis=1)
+        base = self.pair.domain.boundary_point(w)
+        rho = np.exp(np.linspace(np.log(self.rho_lo[idx]),
+                                 np.log(self.rho_hi[idx]), 3, axis=1))
+        pts = self.pair.group.apply(rho[:, :, None], base[:, None])
+        return pts.reshape(len(idx), 3 * n_omega, 2)
+
+    def bbox(self, idx):
+        """Boxes [lo, hi] of shape (len(idx), 2, 2) around each tile's
+        17-angle samples, padded by 2% of their extent."""
+        pts = self.samples(idx, 17)
+        lo = pts.min(axis=1)
+        hi = pts.max(axis=1)
+        pad = 0.02 * np.maximum(hi - lo, 1e-12)
+        return np.stack([lo - pad, hi + pad], axis=1)
 
     def contains(self, points, idx, rho_vals=None, tol=0.0):
         """Membership of points (..., 2) in each tile of idx: shape (..., len(idx)).
@@ -253,6 +232,15 @@ class Tiling(object):
         return in_arcs * in_shells
 
 
+def sector0_band(tiling, rho, omega):
+    """Cells with |rho - 1| < delta and omega in sector 0's window: the
+    support of the band probes of the kernel maximal and tile-projection
+    experiments."""
+    sec = tiling.sectors[0]
+    return ((np.abs(rho - 1.0) < tiling.delta)
+            & _in_arc(omega, sec.omega_start, sec.omega_end))
+
+
 # -- overlap counting ---------------------------------------------------------
 
 N_SPAN = 2       # dyadic generations added on each side of the levels
@@ -260,10 +248,9 @@ REFINE_TOP = 12  # busiest box cells counted exactly
 
 
 class OverlapReport(object):
-    def __init__(self, delta, max_overlap, histogram):
+    def __init__(self, delta, max_overlap):
         self.delta = float(delta)
         self.max_overlap = int(max_overlap)
-        self.histogram = histogram
 
 
 def _t1_mask(pair, points, rho_vals):
@@ -310,7 +297,7 @@ def _overlap_tiling(pair, delta, *scales):
 def _busiest_cells(boxes, spacing):
     """Box stage: multiplicity of the boxes (n, 2, 2) on a cell grid of the
     given spacing, via corner marks.  Returns the REFINE_TOP largest cell
-    counts, their cell centres and the histogram of all cell counts."""
+    counts and their cell centres."""
     lo_all = boxes[:, 0].min(axis=0)
     hi_all = boxes[:, 1].max(axis=0)
     x_edges = np.arange(lo_all[0], hi_all[0] + spacing, spacing)
@@ -327,28 +314,27 @@ def _busiest_cells(boxes, spacing):
     np.add.at(acc, (ix0, iy1), -1)
     np.add.at(acc, (ix1, iy0), -1)
     np.add.at(acc, (ix1, iy1), 1)
-    counts = np.cumsum(np.cumsum(acc, axis=0), axis=1)[:nx, :ny]
-    hist_vals, hist_cnt = np.unique(counts, return_counts=True)
-    histogram = dict(zip(hist_vals.tolist(), hist_cnt.tolist()))
-    flat = counts.ravel()
+    flat = np.cumsum(np.cumsum(acc, axis=0), axis=1)[:nx, :ny].ravel()
     top = np.argsort(flat)[::-1][:REFINE_TOP]
     ix, iy = np.divmod(top, ny)
     centres = np.stack([x_edges[ix] + 0.5 * spacing,
                         y_edges[iy] + 0.5 * spacing], axis=1)
-    return flat[top], centres, histogram
+    return flat[top], centres
 
 
-def _tile_lattice(tile, spacing):
-    """Sample lattice covering the tile at the given spacing (approx)."""
-    span_rho = tile.rho_hi - tile.rho_lo
-    pair = tile.tiling.pair
+def _tile_lattice(tiling, k, spacing):
+    """Sample lattice covering tile k at the given spacing (approx)."""
+    pair = tiling.pair
+    rho_lo, rho_hi = tiling.rho_lo[k], tiling.rho_hi[k]
     # physical tangential extent ~ |I_j|, radial extent ~ 4 delta * scale
-    n_o = max(int(np.ceil((tile.tau_hi - tile.tau_lo) / spacing)) + 2, 4)
-    n_r = max(int(np.ceil(span_rho * pair.domain.max_radius() / spacing)) + 2, 3)
-    w = np.linspace(tile.omega_lo, tile.omega_hi, min(n_o, 400))
-    base = pair.domain.boundary_point(w)
-    rho = np.linspace(tile.rho_lo, tile.rho_hi, min(n_r, 60))
-    return np.concatenate([pair.group.apply(r, base) for r in rho])
+    tau_span = tiling.tau_hi[k] - tiling.tau_lo[k]
+    n_o = max(int(np.ceil(tau_span / spacing)) + 2, 4)
+    n_r = max(int(np.ceil((rho_hi - rho_lo) * pair.domain.max_radius()
+                          / spacing)) + 2, 3)
+    base = pair.domain.boundary_point(
+        np.linspace(tiling.omega_lo[k], tiling.omega_hi[k], min(n_o, 400)))
+    rho = np.linspace(rho_lo, rho_hi, min(n_r, 60))
+    return pair.group.apply(rho[:, None], base).reshape(-1, 2)
 
 
 def _count_overlaps(tiling, au, boxes, clouds, candidates):
@@ -363,11 +349,11 @@ def _count_overlaps(tiling, au, boxes, clouds, candidates):
     """
     delta = tiling.delta
     if len(boxes) == 0 or len(au) == 0:
-        return OverlapReport(delta, 0, {0: 0})
-    boxes_u = np.array([tiling.tile(k).bbox() for k in au])
+        return OverlapReport(delta, 0)
+    boxes_u = tiling.bbox(au)
     # Minkowski sum of boxes: componentwise interval sums, a-major
     sums = (boxes[:, None] + boxes_u[None, :]).reshape(-1, 2, 2)
-    top_counts, centres, histogram = _busiest_cells(sums, delta / 4.0)
+    top_counts, centres = _busiest_cells(sums, delta / 4.0)
     best = 0
     for count, x in zip(top_counts, centres):
         if count <= best:
@@ -379,7 +365,7 @@ def _count_overlaps(tiling, au, boxes, clouds, candidates):
                                   tol=delta / 8.0)
             mult += int(np.count_nonzero(hit.any(axis=0)))
         best = max(best, mult)
-    return OverlapReport(delta, best, histogram)
+    return OverlapReport(delta, best)
 
 
 def _box_screen(x, sums):
@@ -396,11 +382,10 @@ def count_sum_overlaps(pair, delta, u, t):
     if not 0.5 < u / t < 2.0:
         raise ConfigError("need 1/2 < u/t < 2")
     tiling = _overlap_tiling(pair, delta, t, u)
-    at = [tiling.tile(k) for k in _level_tiles_in_t1(tiling, t)]
+    at = _level_tiles_in_t1(tiling, t)
     au = _level_tiles_in_t1(tiling, u)
-    boxes = np.array([a.bbox() for a in at]).reshape(-1, 2, 2)
-    clouds = [_tile_lattice(a, delta / 8.0) for a in at]
-    return _count_overlaps(tiling, au, boxes, clouds, _box_screen)
+    clouds = [_tile_lattice(tiling, k, delta / 8.0) for k in at]
+    return _count_overlaps(tiling, au, tiling.bbox(at), clouds, _box_screen)
 
 
 def count_ball_sum_overlaps(pair, delta, u, t):
@@ -422,13 +407,13 @@ def count_ball_sum_overlaps(pair, delta, u, t):
                            lambda x, sums: np.arange(len(sums)))
 
 
-def active_time_measure(tile, pair, delta, step_factor=1.0 / 16.0):
+def active_time_measure(rho_lo, rho_hi, delta):
     """Logarithmic measure of {t : annulus t(1-d) <= rho <= t(1+d) meets
-    the tile's rho-range}, scanned at log-step delta/16."""
-    step = delta * step_factor
-    lo = np.log(tile.rho_lo / (1.0 + delta)) - 4 * step
-    hi = np.log(tile.rho_hi / (1.0 - delta)) + 4 * step
+    the rho range [rho_lo, rho_hi] of a tile}, scanned at log-step delta/16."""
+    step = delta / 16.0
+    lo = np.log(rho_lo / (1.0 + delta)) - 4 * step
+    hi = np.log(rho_hi / (1.0 - delta)) + 4 * step
     s = np.arange(lo, hi + step, step)
     t = np.exp(s)
-    active = (t * (1.0 - delta) <= tile.rho_hi) & (t * (1.0 + delta) >= tile.rho_lo)
+    active = (t * (1.0 - delta) <= rho_hi) & (t * (1.0 + delta) >= rho_lo)
     return float(np.sum(active) * step)

@@ -24,7 +24,8 @@ from quasibr.maximal import (RectangleFamily, _coverage, _shifted,
                              weak11_probe)
 from quasibr.quasinorm import rho_omega_grid
 from quasibr.tiling import (Tiling, active_time_measure,
-                            count_ball_sum_overlaps, count_sum_overlaps)
+                            count_ball_sum_overlaps, count_sum_overlaps,
+                            sector0_band)
 
 
 @pytest.fixture
@@ -137,7 +138,7 @@ def test_criterion_05_active_time_measure(disk_pair, report):
         d = 2.0 ** -k
         tiling = Tiling(disk_pair, d)
         idxs = np.linspace(0, tiling.size - 1, 100).astype(int)
-        m = max(active_time_measure(tiling.tile(i), disk_pair, d)
+        m = max(active_time_measure(tiling.rho_lo[i], tiling.rho_hi[i], d)
                 for i in idxs)
         vals.append(m / d)
     spread = max(vals) / min(vals)
@@ -172,8 +173,7 @@ def test_criterion_06_kernel_annulus_l1(disk_pair, report):
         widths = tiling.tau_hi[sel] - tiling.tau_lo[sel]
         idx = int(sel[np.argmax(widths)])
         indices = (int(tiling.sector_idx[idx]), int(tiling.j_idx[idx]), 0, 0)
-        kern_t = kernel_build(lib, disk_pair, d, indices, (N, L),
-                              tail_tol=0.05)
+        kern_t = kernel_build(lib, disk_pair, indices, (N, L), tail_tol=0.05)
         cs.append(kern_t.l1() / np.log(1.0 / d))
     ok &= max(cs) / min(cs) <= 2.0
     report(6, "kernel L1 annulus envelopes", ok,
@@ -303,10 +303,7 @@ def test_criterion_10_kernel_maximal(disk_pair, report):
         tiling = Tiling(disk_pair, d)
         lib = BumpLibrary(tiling)
         rho, omega = rho_omega_grid(disk_pair, N, L)
-        sec = tiling.sectors[0]
-        span = np.mod(sec.omega_end - sec.omega_start, 2 * np.pi)
-        band = (np.abs(rho - 1.0) <= d) & \
-            (np.mod(omega - sec.omega_start, 2 * np.pi) <= span)
+        band = sector0_band(tiling, rho, omega)
         spec = np.zeros((N, N), dtype=complex)
         spec[band] = np.exp(2j * np.pi * rng.random(int(band.sum())))
         f = GridField(N, L, spec, "frequency").to_physical()
@@ -327,11 +324,7 @@ def test_criterion_11_littlewood_paley(disk_pair, report):
         tiling = Tiling(disk_pair, d, n_range=(-1, 1))
         lib = BumpLibrary(tiling)
         rho, omega = rho_omega_grid(disk_pair, N, L)
-        sec = tiling.sectors[0]
-        span = np.mod(sec.omega_end - sec.omega_start, 2 * np.pi)
-        band = (np.abs(rho - 1.0) < d) & \
-            (np.mod(omega - sec.omega_start, 2 * np.pi) <= span)
-        spec = np.where(band, 1.0 + 0j, 0.0)
+        spec = np.where(sector0_band(tiling, rho, omega), 1.0 + 0j, 0.0)
         f = GridField(N, L, spec, "frequency")
         sq = tile_projection_square_function(disk_pair, d, f, lib)
         ratios.append(sq.norm(2) / f.to_physical().norm(2))

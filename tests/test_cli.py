@@ -44,7 +44,7 @@ def test_tile_csv_has_rows(tmp_path):
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"domain": {"type": "disk", "radius": 10.0},
-                               "matrix": [[1.0, 0.0], [0.0, 2.0]]}))
+                               "A": [[1.0, 0.0], [0.0, 2.0]]}))
     code = _run(["decompose", "--delta", "0.0625", "--config", str(cfg),
                  "--out", str(tmp_path)])
     assert code == 0
@@ -84,6 +84,17 @@ def test_usage_error_exits_3_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+def test_sqfn_scaling_family_flag_is_rejected(tmp_path, capsys):
+    # only the standard probe family exists, so there is no --family flag
+    with pytest.raises(SystemExit) as exc:
+        _run(["sqfn-scaling", "--family", "foo", "--grid", "64,6",
+              "--deltas", "2^-3", "--out", str(tmp_path)])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --family foo" in err
+    assert "Traceback" not in err
+
+
 def test_mult_norm_reports_value(tmp_path):
     code = _run(["mult-norm", "--multiplier", "bump", "--alpha", "0.6",
                  "--out", str(tmp_path)])
@@ -114,6 +125,10 @@ def test_mult_norm_rough_multiplier_flagged(tmp_path):
                  "phase": "x"}}, "phase"),
     ({"rotation": "x"}, "rotation"),
     ({"rotation": float("nan")}, "rotation"),
+    ({"matrix": [[1.0, 0.0], [0.0, 2.0]]}, "unknown config key 'matrix'"),
+    ({"domain": {"type": "disk", "radius": 10.0, "radius2": 5.0}},
+     "unknown disk field 'radius2'"),
+    ([["A", [[1.0, 0.0], [0.0, 2.0]]]], "config must be a JSON object"),
 ])
 def test_bad_numeric_config_exits_3_without_traceback(tmp_path, capsys, cfg,
                                                       field):

@@ -9,7 +9,7 @@ from quasibr.grid import (GridField, apply_multiplier,
                           active_t_grid, square_function_annulus,
                           square_function_glambda, standard_family,
                           delta_scaling_experiment, hormander_sobolev_norm)
-from quasibr.quasinorm import rho_omega_grid
+from quasibr.quasinorm import frequency_grid, rho_omega_grid
 
 
 def _random_field(N=64, L=8.0, seed=0):
@@ -40,7 +40,9 @@ def test_single_frequency_multiplier():
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     xi0 = np.pi / L * 4
     f = GridField(N, L, np.exp(1j * xi0 * X1), "physical")
-    g = apply_multiplier(f, lambda XI1, XI2: 2.0 * (np.abs(XI1 - xi0) < 1e-9))
+    xi = frequency_grid(N, L)
+    XI1, _ = np.meshgrid(xi, xi, indexing="ij")
+    g =apply_multiplier(f, 2.0 * (np.abs(XI1 - xi0) < 1e-9))
     assert np.max(np.abs(g.values - 2.0 * f.values)) < 1e-10
 
 

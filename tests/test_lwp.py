@@ -14,16 +14,14 @@ def test_tile_bump_reproduces_sigma(disk_pair):
     delta = 2.0 ** -4
     tiling = Tiling(disk_pair, delta, n_range=(-1, 1))
     lib = BumpLibrary(tiling)
-    assert check_tile_bump_reproduction(disk_pair, delta, lib,
-                                        n_tiles=40) == 0.0
+    assert check_tile_bump_reproduction(disk_pair, lib, n_tiles=40) == 0.0
 
 
 def test_tile_bump_reproduces_sigma_hexagon(hexagon_pair):
     delta = 2.0 ** -5
     tiling = Tiling(hexagon_pair, delta)
     lib = BumpLibrary(tiling)
-    assert check_tile_bump_reproduction(hexagon_pair, delta, lib,
-                                        n_tiles=25) < 1e-14
+    assert check_tile_bump_reproduction(hexagon_pair, lib, n_tiles=25) < 1e-14
 
 
 def test_tile_bump_has_bounded_support(disk_pair):

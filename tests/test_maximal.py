@@ -7,7 +7,7 @@ from quasibr.errors import ConfigError
 from quasibr.grid import GridField
 from quasibr.maximal import (RectangleFamily, _coverage, _rect_average,
                              _shifted, kernel_maximal, nikodym_maximal,
-                             nikodym_maximal_scale, focusing_function,
+                             focusing_function,
                              translation_offsets, weak11_probe)
 from quasibr.quasinorm import rho_omega_grid
 from quasibr.tiling import Tiling
@@ -101,8 +101,8 @@ def test_single_scale_uses_dilated_rectangles():
     f = GridField(N, L, rng.random((N, N)), "physical")
     g = DilationGroup(np.diag([1.0, 2.0]))
     fam = RectangleFamily(lam=8 * h, N=3, k_range=(0, 1), group=g)
-    m0 = nikodym_maximal_scale(f, fam, 0)
-    m1 = nikodym_maximal_scale(f, fam, 1)
+    m0, m1 = (nikodym_maximal(f, RectangleFamily(fam.lam, fam.N, (k, k), g))
+              for k in (0, 1))
     both = nikodym_maximal(f, fam)
     assert np.allclose(both.values.real,
                        np.maximum(m0.values.real, m1.values.real))

@@ -20,7 +20,7 @@ from quasibr.lwp import (dyadic_projection_square_function,
                          dyadic_shell_bump, tile_bump,
                          tile_projection_square_function)
 from quasibr.maximal import kernel_maximal
-from quasibr.quasinorm import rho_omega_grid
+from quasibr.quasinorm import frequency_grid, rho_omega_grid
 from quasibr.tiling import Tiling
 
 N, L = 64, 8.0
@@ -230,7 +230,7 @@ def test_gaussian_annulus_pieces_use_three_reduced_grids(disk_pair,
     # f-hat is nonzero on every cell, the origin included, and the small-t
     # pieces have boxes of a few cells
     N2, L2, delta = 128, 12.0, 2.0 ** -5
-    xi = GridField(N2, L2, np.zeros((N2, N2))).xi()
+    xi = frequency_grid(N2, L2)
     spec = np.exp(-0.5 * (xi[:, None] ** 2 + xi[None, :] ** 2))
     assert np.all(spec > 0)
     f = GridField(N2, L2, spec, "frequency")

@@ -84,13 +84,13 @@ def test_multiplicity_covers_annulus(request, name):
 
 def test_tile_membership_is_invariant_box(disk_pair):
     tiling = Tiling(disk_pair, 2.0 ** -4)
-    tile = tiling.tile(tiling.size // 2)
-    pts = tile.boundary_samples(40)
+    k = tiling.size // 2
+    pts = tiling.samples([k], 40)[0]
     rho = disk_pair.rho(pts)
-    assert np.all(tile.contains(pts, rho, tol=1e-9))
+    assert np.all(tiling.contains(pts, [k], rho, tol=1e-9))
     # scaling far out of the rho range leaves the tile
     far = disk_pair.group.apply(10.0, pts)
-    assert not np.any(tile.contains(far, disk_pair.rho(far)))
+    assert not np.any(tiling.contains(far, [k], disk_pair.rho(far)))
 
 
 def test_ball_sum_overlap_small(disk_pair):
@@ -103,12 +103,14 @@ def test_ball_sum_overlap_small(disk_pair):
 def test_tiling_contains_matches_tile_view(disk_pair):
     tiling = Tiling(disk_pair, 2.0 ** -4)
     idx = np.arange(0, tiling.size, 7)
-    pts = np.concatenate([tiling.tile(k).boundary_samples(9) for k in idx])
+    pts = tiling.samples(idx, 9).reshape(-1, 2)
     hit = tiling.contains(pts, idx, tol=1e-3)
     assert hit.shape == (len(pts), len(idx))
     assert hit.any(axis=0).all()
+    # one tile at a time gives the same columns
     for col, k in enumerate(idx):
-        assert np.array_equal(hit[:, col], tiling.tile(k).contains(pts, tol=1e-3))
+        assert np.array_equal(hit[:, col],
+                              tiling.contains(pts, [k], tol=1e-3)[:, 0])
 
 
 def test_sum_overlap_count_pinned(disk_pair):
@@ -155,8 +157,36 @@ def test_active_time_measure_disk(disk_pair):
     # logarithmic length log((r_hi/r_lo) (1+delta)/(1-delta))
     delta = 2.0 ** -4
     tiling = Tiling(disk_pair, delta)
-    tile = tiling.tile(0)
-    meas = active_time_measure(tile, disk_pair, delta)
     r_lo, r_hi = tiling.rho_lo[0], tiling.rho_hi[0]
+    meas = active_time_measure(r_lo, r_hi, delta)
     want = np.log((r_hi / r_lo) * (1.0 + delta) / (1.0 - delta))
     assert abs(meas - want) < 0.05 * want
+
+
+def _per_tile_samples(tiling, k, n_omega):
+    # one tile at a time with scalar linspace endpoints: n_omega boundary
+    # angles on each of three geometric rho levels
+    pair = tiling.pair
+    w = np.linspace(tiling.omega_lo[k], tiling.omega_hi[k], n_omega)
+    base = pair.domain.boundary_point(w)
+    rho = np.exp(np.linspace(np.log(tiling.rho_lo[k]),
+                             np.log(tiling.rho_hi[k]), 3))
+    return np.concatenate([pair.group.apply(r, base) for r in rho])
+
+
+@pytest.mark.parametrize("name", ["disk_pair", "disk_aniso_pair",
+                                  "hexagon_pair"])
+def test_samples_and_bbox_match_per_tile_loop(request, name):
+    pair = request.getfixturevalue(name)
+    tiling = Tiling(pair, 2.0 ** -4, n_range=(-1, 1))
+    idx = np.arange(tiling.size)
+    clouds = tiling.samples(idx, 120)
+    boxes = tiling.bbox(idx)
+    assert clouds.shape == (tiling.size, 360, 2)
+    assert boxes.shape == (tiling.size, 2, 2)
+    for k in idx:
+        assert np.array_equal(clouds[k], _per_tile_samples(tiling, k, 120))
+        pts = _per_tile_samples(tiling, k, 17)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pad = 0.02 * np.maximum(hi - lo, 1e-12)
+        assert np.array_equal(boxes[k], np.array([lo - pad, hi + pad]))
