@@ -12,7 +12,7 @@ total sum is identically 1 wherever the dyadic range covers rho.
 Generation n of the partition sits at rho ~ ratio^m 2^n, while generation
 n of the tiling sits at ratio^m 4^n (the two agree at n = 0).  What applies
 sigma reads the 2^n shells: sigma itself, lwp.tile_bump, and
-maximal.kernel_maximal through BumpLibrary.member_rho_window.  The tile
+maximal.kernel_maximal through BumpLibrary.member_lo / member_hi.  The tile
 membership tests, Tiling.multiplicity and the overlap counters read the
 tiling's own 4^n windows.
 """
@@ -89,8 +89,8 @@ class BumpLibrary(object):
         # at ratio^m 2^n (tiles sit at ratio^m 4^n), as in sigma below
         shells = tiling.shells
         scale = tiling.ratio ** shells.m_idx * 2.0 ** shells.n_idx
-        self._member_lo = scale * (1.0 - 2.0 * self.delta)
-        self._member_hi = scale * (1.0 + 2.0 * self.delta)
+        self.member_lo = scale * (1.0 - 2.0 * self.delta)
+        self.member_hi = scale * (1.0 + 2.0 * self.delta)
 
     # -- radial families -----------------------------------------------------
 
@@ -162,12 +162,6 @@ class BumpLibrary(object):
         r = np.asarray(rho, dtype=float) * 2.0 ** (-n)
         return (phi0(r) * self.psi(m, r)
                 * self.Psi(i, omega) * self.T(i, j, omega))
-
-    def member_rho_window(self, k):
-        """[lo, hi] = ratio^m 2^n (1 -+ 2 delta) for tile k's shell (m, n):
-        the shell where sigma_{i,j,m,n} lives, not the tile's own 4^n."""
-        s = k % self.tiling.n_shells
-        return self._member_lo[s], self._member_hi[s]
 
     def sum_sigma(self, rho, omega):
         """Sum over every index of the partition (term-by-term in each

@@ -175,6 +175,8 @@ def cmd_overlap_count(args, cfg):
 
 
 def cmd_active_time(args, cfg):
+    if args.tiles < 1:
+        raise ConfigError("--tiles must be at least 1")
     pair = _build_pair(cfg)
     tiling = Tiling(pair, args.delta)
     rng = np.random.default_rng(args.seed)
@@ -199,12 +201,19 @@ def cmd_kernel_l1(args, cfg):
     pair = _build_pair(cfg)
     N, L = args.grid
     if args.indices is not None:
-        idx = tuple(int(v) for v in args.indices.split(","))
-        if len(idx) != 4:
-            raise ConfigError("indices must be i,j,m,n")
+        try:
+            i, j, m, n = (int(v) for v in args.indices.split(","))
+        except ValueError:
+            raise ConfigError("indices must be four integers i,j,m,n")
         tiling = Tiling(pair, args.delta)
+        arcs, shells = tiling.arcs, tiling.shells
+        if not (np.any((arcs.sector_idx == i) & (arcs.j_idx == j))
+                and np.any((shells.m_idx == m) & (shells.n_idx == n))):
+            raise ConfigError("indices %s name no tile of the tiling"
+                              % args.indices)
         lib = BumpLibrary(tiling)
-        kern = kernel_build(lib, pair, idx, (N, L), tail_tol=args.tail_tol)
+        kern = kernel_build(lib, pair, (i, j, m, n), (N, L),
+                            tail_tol=args.tail_tol)
     else:
         sym = full_annulus_symbol(args.l)
         kern = kernel_from_rho_symbol(pair, sym, (N, L),

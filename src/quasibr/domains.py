@@ -326,8 +326,7 @@ class BoundaryArc(object):
 
     gamma(t) = 2^M + u(t) lies in (1, 2^M); gamma_left/gamma_right are the
     one-sided derivatives of u (nondecreasing, gamma_left <= gamma_right at
-    each point), exact for polygons.  point(t) returns the boundary point in
-    the domain's own coordinates.
+    each point), exact for polygons.
     """
 
     T_LO, T_HI = -1.0, 1.0
@@ -337,7 +336,6 @@ class BoundaryArc(object):
         self.rotation = float(rotation)
         self.M = getattr(domain, "M", None) or compute_M(domain)
         self._R = _rot(self.rotation)
-        self._Rinv = _rot(-self.rotation)
         if domain.is_polygon:
             self._build_polygon_chain()
         else:
@@ -419,12 +417,6 @@ class BoundaryArc(object):
                           0, len(self._slopes) - 1)
             return self._slopes[idx] + 0.0 * t
         return np.interp(t, self._xs, self._slope_table)
-
-    def point(self, t):
-        """Boundary point in the domain's own (unrotated) coordinates."""
-        t = np.asarray(t, dtype=float)
-        frame = np.stack([t, self.u(t)], axis=-1)
-        return frame @ self._Rinv.T
 
 
 def boundary_arc(domain, rotation):

@@ -58,12 +58,6 @@ def apply_multiplier(f, symbol):
     return out.to_physical() if f.space == "physical" else out
 
 
-def apply_quasiradial_multiplier(pair, f, m):
-    """Multiplier m(rho(xi)) applied to f."""
-    rho, _ = rho_omega_grid(pair, f.N, f.L)
-    return apply_multiplier(f, m(rho))
-
-
 def br_symbol(rho, t, lam):
     """(1 - rho/t)_+^lambda, zero at rho >= t (including the singular
     sample at rho = t when lambda < 0)."""
@@ -179,6 +173,26 @@ class SpectralBank(object):
         """Cells with lo <= rho < hi."""
         a, b = np.searchsorted(self.rho, (lo, hi))
         return slice(a, b)
+
+    def live_screen(self, rho_lo, rho_hi, omega_lo, omega_span):
+        """Boolean (arcs, shells) tile screen: (a, s) is true when a live
+        cell, |f-hat| > 1e-10 max, has rho_lo[s] <= rho <= rho_hi[s] and
+        omega in the ccw arc from omega_lo[a] of length omega_span[a].
+        Each distinct arc window is tested once over the live cells."""
+        amp = np.abs(self.spec)
+        live = amp > 1e-10 * np.max(amp, initial=0.0)
+        rho, omega = self.rho[live], self.omega[live]
+        a = np.searchsorted(rho, rho_lo, side="left")
+        b = np.searchsorted(rho, rho_hi, side="right")
+        windows, arc_window = np.unique(
+            np.stack([omega_lo, omega_span], axis=1), axis=0,
+            return_inverse=True)
+        hits = np.empty((len(windows), len(a)), dtype=bool)
+        for w, (lo, span) in enumerate(windows):
+            inside = np.mod(omega - lo, 2.0 * np.pi) <= span
+            count = np.concatenate([[0], np.cumsum(inside)])
+            hits[w] = count[b] > count[a]
+        return hits[arc_window.ravel()]
 
     def reduce(self, pieces, how):
         """sqrt(sum w |piece|^2) for how="sum", max |piece| for how="max".

@@ -35,10 +35,10 @@ def _radial_window(lib, m):
     return s_lo, s_hi
 
 
-def _tile_rho_support(lib, idx):
-    """(lo, hi): tile_bump(lib, idx, ...) vanishes at rho <= lo and rho >= hi."""
-    s_lo, s_hi = _radial_window(lib, int(lib.tiling.m_idx[idx]))
-    scale = 2.0 ** float(lib.tiling.n_idx[idx])
+def _rho_support(lib, m, n):
+    """(lo, hi): tile_bump on shell (m, n) vanishes off lo < rho < hi."""
+    s_lo, s_hi = _radial_window(lib, int(m))
+    scale = 2.0 ** float(n)
     return (scale * np.exp(lib.log_r * (1.5 * s_lo - 0.5 * s_hi)),
             scale * np.exp(lib.log_r * (1.5 * s_hi - 0.5 * s_lo)))
 
@@ -86,32 +86,24 @@ def tile_projection_square_function(pair, delta, f, lib):
     """sqrt(sum over tiles |P~_{i,j,m,n} f|^2) with enlarged tile bumps.
 
     Tiles whose bump misses every bank cell in rho contribute exactly zero
-    and are skipped, as are tiles with no live cell of f-hat near them;
-    each bump is evaluated on the bank cells of its rho support only.  The
-    result carries the count of non-empty pieces as .tiles_used.
+    and are skipped, as are tiles with no live cell of f-hat within a
+    factor 4 of their shell and near their sector (bank.live_screen); each
+    bump is evaluated on the bank cells of its shell's rho support only.
+    The result carries the count of non-empty pieces as .tiles_used.
     """
     tiling = lib.tiling
+    shells, sec = tiling.shells, tiling.arcs.sector_idx
     bank = SpectralBank(pair, f)
-    amp = np.abs(bank.spec)
-    live = amp > 1e-10 * max(np.max(amp, initial=0.0), 1e-300)
-    rho_live = bank.rho[live]
-    omega_live = bank.omega[live]
+    support = [bank.between(*_rho_support(lib, m, n))
+               for m, n in zip(shells.m_idx, shells.n_idx)]
+    half = lib.half_widths[sec] + 0.25
+    screen = bank.live_screen(shells.rho_lo / 4.0, shells.rho_hi * 4.0,
+                              lib.mids[sec] - 2.0 * half, 4.0 * half)
+    screen &= np.array([c.start < c.stop for c in support])
 
     def pieces():
-        for idx in range(tiling.size):
-            cells = bank.between(*_tile_rho_support(lib, idx))
-            if cells.start == cells.stop:
-                continue
-            rl = tiling.rho_lo[idx] / 4.0
-            rh = tiling.rho_hi[idx] * 4.0
-            sel = (rho_live >= rl) & (rho_live <= rh)
-            if not np.any(sel):
-                continue
-            i_sec = int(tiling.sector_idx[idx])
-            wlo = lib.mids[i_sec] - 2.0 * (lib.half_widths[i_sec] + 0.25)
-            span = 4.0 * (lib.half_widths[i_sec] + 0.25)
-            if not np.any(np.mod(omega_live[sel] - wlo, 2.0 * np.pi) <= span):
-                continue
+        for idx in np.flatnonzero(screen):
+            cells = support[idx % tiling.n_shells]
             yield 1.0, cells, tile_bump(lib, idx, bank.rho[cells],
                                         bank.omega[cells])
 

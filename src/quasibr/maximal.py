@@ -209,30 +209,20 @@ def kernel_maximal(pair, delta, f, lib):
     each t with a nonzero annulus overlap, apply the multiplier
     plateau((rho/t - 1)/delta) sigma_{i,j,m,n} and take pointwise maxima of
     the moduli; t runs on a log grid of step delta/8 over the active window
-    of the shell where sigma_{i,j,m,n} lives (lib.member_rho_window).
+    of the shell where sigma_{i,j,m,n} lives (lib.member_lo, member_hi),
+    screened by bank.live_screen with both windows slightly widened.
     """
     tiling = lib.tiling
+    arcs = tiling.arcs
     bank = SpectralBank(pair, f)
-    amp = np.abs(bank.spec)
-    live = amp > 1e-10 * np.max(amp, initial=0.0)
-    rho_live = bank.rho[live]
-    omega_live = bank.omega[live]
+    wl = arcs.omega_lo - 0.1
+    screen = bank.live_screen(lib.member_lo / (1.0 + 4.0 * delta),
+                              lib.member_hi * (1.0 + 4.0 * delta), wl,
+                              np.mod(arcs.omega_hi + 0.1 - wl, 2 * np.pi))
     step = delta / 8.0
 
     def pieces():
-        for idx in range(tiling.size):
-            # quick support screen against f's spectrum
-            rho_lo, rho_hi = lib.member_rho_window(idx)
-            rl = rho_lo / (1.0 + 4.0 * delta)
-            rh = rho_hi * (1.0 + 4.0 * delta)
-            band = (rho_live >= rl) & (rho_live <= rh)
-            if not np.any(band):
-                continue
-            wl = tiling.omega_lo[idx] - 0.1
-            wh = tiling.omega_hi[idx] + 0.1
-            span = np.mod(wh - wl, 2 * np.pi)
-            if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
-                continue
+        for idx in np.flatnonzero(screen):
             i, j = int(tiling.sector_idx[idx]), int(tiling.j_idx[idx])
             m, n = int(tiling.m_idx[idx]), int(tiling.n_idx[idx])
             sym = lib.sigma(i, j, m, n, bank.rho, bank.omega)
@@ -240,8 +230,9 @@ def kernel_maximal(pair, delta, f, lib):
             if cells.size == 0:
                 continue
             sym, rho = sym[cells], bank.rho[cells]
-            lo = np.log(rho_lo / (1.0 + delta)) - step
-            hi = np.log(rho_hi / (1.0 - delta)) + step
+            shell = idx % tiling.n_shells
+            lo = np.log(lib.member_lo[shell] / (1.0 + delta)) - step
+            hi = np.log(lib.member_hi[shell] / (1.0 - delta)) + step
             for s in np.arange(lo, hi + step, step):
                 yield 1.0, cells, annulus_cutoff(delta, np.exp(s))(rho) * sym
 

@@ -15,12 +15,11 @@ _S_LIMIT = 60.0  # bracket expansion limit: t in [2^-60, 2^60]
 
 
 class CompatiblePair(object):
-    """Validated (domain, group) with the sampled angle theta and rho."""
+    """Validated (domain, group) and its norm function rho."""
 
-    def __init__(self, domain, group, theta):
+    def __init__(self, domain, group):
         self.domain = domain
         self.group = group
-        self.theta = theta
         self.M = domain.M
         self._grids = {}  # (N, L) -> (rho, omega), see rho_omega_grid
 
@@ -144,7 +143,7 @@ def check_compatibility(domain, group):
             "(theta = %.3e)" % theta)
     # single-crossing probe on a coarse subset of directions
     probe = pts[:: max(1, len(pts) // 128)]
-    pair = CompatiblePair(domain, group, theta)
+    pair = CompatiblePair(domain, group)
     s_grid = np.linspace(-6.0, 6.0, 241)
     signs = np.stack([_signed_outside(pair, s, probe) for s in s_grid])
     flips = np.abs(np.diff((signs > 0).astype(np.int8), axis=0))

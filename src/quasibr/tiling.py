@@ -19,7 +19,6 @@ applies it sit at ratio^m 2^n (see bumps).  The two agree at n = 0.
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .caps import DELTA_MAX, decompose
 from .domains import boundary_arc
@@ -72,6 +71,8 @@ class Sector(object):
 
 def build_sectors(pair):
     """Cover the boundary by rotated-graph sectors (ccw walk)."""
+    from scipy.optimize import brentq  # deferred: few CLI runs build a tiling
+
     domain = pair.domain
     omega0 = -np.pi / 2
     sectors = []

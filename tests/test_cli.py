@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from quasibr import cli
+from quasibr import bumps, cli
 
 
 def _run(argv):
@@ -147,3 +149,52 @@ def test_lwp_probe_empty_band_is_resolution_error(tmp_path, capsys):
     code = _run(["lwp-probe", "--grid", "16,24", "--out", str(tmp_path)])
     assert code == 4
     assert "probe band empty" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # only build_sectors needs brentq, and most subcommands build no tiling
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, quasibr.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env)
+    assert run.returncode == 0
+
+
+@pytest.mark.parametrize("tiles", ["0", "-1"])
+def test_active_time_rejects_fewer_than_one_tile(tmp_path, capsys, tiles):
+    code = _run(["active-time", "--delta", "0.0625", "--tiles=" + tiles,
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: --tiles must be at least 1")
+    assert not (tmp_path / "active_time.json").exists()
+
+
+@pytest.mark.parametrize("indices, message", [
+    pytest.param(v, m, id=v) for v, m in (
+        ("999,0,0,0", "indices 999,0,0,0 name no tile"),
+        ("-1,4,0,0", "indices -1,4,0,0 name no tile"),
+        ("0,4,99,0", "indices 0,4,99,0 name no tile"),
+        ("0,4,0,7", "indices 0,4,0,7 name no tile"),
+        ("a,0,0,0", "indices must be four integers"),
+        ("0,4,0", "indices must be four integers"))])
+def test_kernel_l1_rejects_indices_outside_the_tiling(tmp_path, capsys,
+                                                      monkeypatch, indices,
+                                                      message):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("rho grid built for a rejected tile")
+
+    monkeypatch.setattr(bumps, "rho_omega_grid", no_grid)
+    code = _run(["kernel-l1", "--indices=" + indices, "--grid", "64,6",
+                 "--k-max", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: " + message)
+
+
+def test_kernel_l1_accepts_a_tile_of_the_tiling(tmp_path):
+    code = _run(["kernel-l1", "--indices", "0,4,0,0", "--grid", "128,12",
+                 "--k-max", "2", "--tail-tol", "1.0", "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "kernel_l1.json").read_text())["l1"] > 0.0

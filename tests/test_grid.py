@@ -3,8 +3,7 @@ import pytest
 
 from quasibr.bumps import plateau
 from quasibr.errors import ConfigError
-from quasibr.grid import (GridField, apply_multiplier,
-                          apply_quasiradial_multiplier, br_symbol,
+from quasibr.grid import (GridField, apply_multiplier, br_symbol,
                           bochner_riesz_mean, dyadic_decompose_br,
                           active_t_grid, square_function_annulus,
                           square_function_glambda, standard_family,

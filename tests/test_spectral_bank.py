@@ -16,7 +16,8 @@ import scipy.fft
 from quasibr.bumps import BumpLibrary, annulus_cutoff
 from quasibr.grid import (GridField, SpectralBank, active_t_grid, br_symbol,
                           square_function_annulus, square_function_glambda)
-from quasibr.lwp import (dyadic_projection_square_function,
+from quasibr import lwp
+from quasibr.lwp import (_radial_window, dyadic_projection_square_function,
                          dyadic_shell_bump, tile_bump,
                          tile_projection_square_function)
 from quasibr.maximal import kernel_maximal
@@ -296,3 +297,126 @@ def test_full_grid_sum_pieces_are_bit_identical(disk_pair, lib):
 
     got, _ = bank.reduce(pieces(), "sum")
     assert np.array_equal(got.values, _full_grid_reduce(bank, pieces(), "sum"))
+
+
+# -- the shells x arcs live-cell screen ----------------------------------------
+
+SCREEN_CASES = [pytest.param(pair, n_range, kind,
+                             id="%s-n%d..%d-%s" % (pair, *n_range, kind))
+                for pair in ("disk_pair", "hexagon_pair")
+                for n_range in ((0, 0), (-1, 1))
+                for kind in ("band", "smooth")]
+
+
+def _screen_case(request, pair, n_range, kind):
+    pair = request.getfixturevalue(pair)
+    lib = BumpLibrary(Tiling(pair, DELTA, n_range=n_range))
+    return pair, lib, _probe(pair, lib, kind)
+
+
+def _bank_live(bank, floor=0.0):
+    amp = np.abs(bank.spec)
+    live = amp > 1e-10 * max(np.max(amp, initial=0.0), floor)
+    return bank.rho[live], bank.omega[live]
+
+
+def _per_tile_lwp_pieces(bank, lib, applied):
+    """The per-tile screen loop of tile_projection_square_function, one
+    tile at a time; records the tiles it applies."""
+    tiling = lib.tiling
+    rho_live, omega_live = _bank_live(bank, 1e-300)
+    for idx in range(tiling.size):
+        s_lo, s_hi = _radial_window(lib, int(tiling.m_idx[idx]))
+        scale = 2.0 ** float(tiling.n_idx[idx])
+        cells = bank.between(
+            scale * np.exp(lib.log_r * (1.5 * s_lo - 0.5 * s_hi)),
+            scale * np.exp(lib.log_r * (1.5 * s_hi - 0.5 * s_lo)))
+        if cells.start == cells.stop:
+            continue
+        sel = ((rho_live >= tiling.rho_lo[idx] / 4.0)
+               & (rho_live <= tiling.rho_hi[idx] * 4.0))
+        if not np.any(sel):
+            continue
+        i = int(tiling.sector_idx[idx])
+        wlo = lib.mids[i] - 2.0 * (lib.half_widths[i] + 0.25)
+        span = 4.0 * (lib.half_widths[i] + 0.25)
+        if not np.any(np.mod(omega_live[sel] - wlo, 2.0 * np.pi) <= span):
+            continue
+        applied.append(idx)
+        yield 1.0, cells, tile_bump(lib, idx, bank.rho[cells],
+                                    bank.omega[cells])
+
+
+def _per_tile_kernel_pieces(bank, lib, delta, sigma, applied):
+    """The per-tile screen loop of kernel_maximal; records the (i, j, m, n)
+    it evaluates sigma at."""
+    tiling = lib.tiling
+    rho_live, omega_live = _bank_live(bank)
+    scale = tiling.ratio ** tiling.m_idx * 2.0 ** tiling.n_idx
+    member_lo, member_hi = scale * (1 - 2 * delta), scale * (1 + 2 * delta)
+    step = delta / 8.0
+    for idx in range(tiling.size):
+        rho_lo, rho_hi = member_lo[idx], member_hi[idx]
+        band = ((rho_live >= rho_lo / (1.0 + 4.0 * delta))
+                & (rho_live <= rho_hi * (1.0 + 4.0 * delta)))
+        if not np.any(band):
+            continue
+        wl = tiling.omega_lo[idx] - 0.1
+        wh = tiling.omega_hi[idx] + 0.1
+        span = np.mod(wh - wl, 2 * np.pi)
+        if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
+            continue
+        tile = (int(tiling.sector_idx[idx]), int(tiling.j_idx[idx]),
+                int(tiling.m_idx[idx]), int(tiling.n_idx[idx]))
+        applied.append(tile)
+        sym = sigma(lib, *tile, bank.rho, bank.omega)
+        cells = np.flatnonzero(sym)
+        if cells.size == 0:
+            continue
+        sym, rho = sym[cells], bank.rho[cells]
+        lo = np.log(rho_lo / (1.0 + delta)) - step
+        hi = np.log(rho_hi / (1.0 - delta)) + step
+        for s in np.arange(lo, hi + step, step):
+            yield 1.0, cells, annulus_cutoff(delta, np.exp(s))(rho) * sym
+
+
+@pytest.mark.parametrize("pair, n_range, kind", SCREEN_CASES)
+def test_tile_square_function_applies_the_per_tile_screen_tiles(
+        request, monkeypatch, pair, n_range, kind):
+    pair, lib, f = _screen_case(request, pair, n_range, kind)
+    bank = SpectralBank(pair, f)
+    want_tiles = []
+    want, want_used = bank.reduce(_per_tile_lwp_pieces(bank, lib, want_tiles),
+                                  "sum")
+    got_tiles = []
+
+    def recording(lib, idx, rho, omega):
+        got_tiles.append(int(idx))
+        return tile_bump(lib, idx, rho, omega)
+
+    monkeypatch.setattr(lwp, "tile_bump", recording)
+    got = tile_projection_square_function(pair, DELTA, f, lib)
+    assert got_tiles == want_tiles and len(want_tiles) > 0
+    assert got.tiles_used == want_used
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("pair, n_range, kind", SCREEN_CASES)
+def test_kernel_maximal_applies_the_per_tile_screen_tiles(
+        request, monkeypatch, pair, n_range, kind):
+    pair, lib, f = _screen_case(request, pair, n_range, kind)
+    sigma = BumpLibrary.sigma
+    bank = SpectralBank(pair, f)
+    want_tiles = []
+    want, _ = bank.reduce(
+        _per_tile_kernel_pieces(bank, lib, DELTA, sigma, want_tiles), "max")
+    got_tiles = []
+
+    def recording(self, i, j, m, n, rho, omega):
+        got_tiles.append((int(i), int(j), int(m), int(n)))
+        return sigma(self, i, j, m, n, rho, omega)
+
+    monkeypatch.setattr(BumpLibrary, "sigma", recording)
+    got = kernel_maximal(pair, DELTA, f, lib)
+    assert got_tiles == want_tiles and len(want_tiles) > 0
+    assert np.array_equal(got.values, want.values)
