@@ -81,10 +81,36 @@ def _parse_deltas(text):
 
 
 def _parse_grid(text):
+    """'N,L': N an even integer >= 2 (the FFT layout of frequency_grid needs
+    N even), L finite and positive."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError("grid must be 'N,L'")
-    return int(parts[0]), float(parts[1])
+        raise argparse.ArgumentTypeError("grid must be 'N,L', got %r" % text)
+    N, L = int(parts[0]), float(parts[1])
+    if N < 2 or N % 2:
+        raise argparse.ArgumentTypeError(
+            "grid N must be an even integer >= 2, got %d" % N)
+    if not (np.isfinite(L) and L > 0):
+        raise argparse.ArgumentTypeError(
+            "grid L must be finite and positive, got %r" % L)
+    return N, L
+
+
+def _parse_sizes(text):
+    """Comma list of integers N >= 1."""
+    sizes = [int(v) for v in text.split(",")]
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            "every N must be at least 1, got %s" % text)
+    return sizes
+
+
+def _need_scales(values, flag, least=2):
+    """ConfigError unless values holds `least` distinct scales: a growth
+    fit on fewer tests nothing."""
+    if len(set(values)) < least:
+        raise ConfigError("%s needs at least %d distinct values for a growth "
+                          "fit, got %d" % (flag, least, len(set(values))))
 
 
 def _write_csv(path, header, rows):
@@ -152,6 +178,7 @@ def cmd_tile(args, cfg):
 
 
 def cmd_overlap_count(args, cfg):
+    _need_scales(args.deltas, "--deltas", 3)
     pair = _build_pair(cfg)
     deltas = args.deltas
     rows = []
@@ -229,6 +256,7 @@ def cmd_kernel_l1(args, cfg):
 
 
 def cmd_sqfn_scaling(args, cfg):
+    _need_scales(args.deltas, "--deltas")
     pair = _build_pair(cfg)
     rep = delta_scaling_experiment(pair, args.deltas, args.grid,
                                    seed=args.seed)
@@ -274,6 +302,7 @@ def cmd_glambda_probe(args, cfg):
 
 
 def cmd_maximal_growth(args, cfg):
+    _need_scales(args.Ns, "--Ns")
     group = None
     if "A" in cfg:
         group = DilationGroup(cfg["A"])
@@ -303,6 +332,7 @@ def _sector0_probe_rows(args, cfg, operator):
     """(delta, ||operator f||_2 / ||f||_2) per delta, f a random-phase
     spectrum on |rho - 1| < delta inside sector 0 of the tiling, and the
     fitted exponent in 1/delta."""
+    _need_scales(args.deltas, "--deltas")
     pair = _build_pair(cfg)
     N, L = args.grid
     rho, omega = rho_omega_grid(pair, N, L)
@@ -319,7 +349,7 @@ def _sector0_probe_rows(args, cfg, operator):
         rows.append((delta, out.norm(2) / f.to_physical().norm(2)))
     ld = np.log(1.0 / np.array([r[0] for r in rows]))
     lr = np.log([r[1] for r in rows])
-    expo = float(np.polyfit(ld, lr, 1)[0]) if len(rows) > 1 else 0.0
+    expo = float(np.polyfit(ld, lr, 1)[0])
     return rows, expo
 
 
@@ -461,7 +491,7 @@ def build_parser():
     p = sub.add_parser("glambda-probe", help="G^lambda stability probe")
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--Ns", type=lambda s: [int(v) for v in s.split(",")],
+    p.add_argument("--Ns", type=_parse_sizes,
                    default=[128, 256])
     p.add_argument("--L-per-N", type=float, default=0.09375)
     p.add_argument("--delta", type=float, default=2.0 ** -4)
@@ -471,7 +501,7 @@ def build_parser():
     p = sub.add_parser("maximal-growth", help="Nikodym maximal growth in N")
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--Ns", type=lambda s: [int(v) for v in s.split(",")],
+    p.add_argument("--Ns", type=_parse_sizes,
                    default=[8, 16, 32])
     p.set_defaults(func=cmd_maximal_growth)
 

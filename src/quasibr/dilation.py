@@ -65,28 +65,41 @@ class DilationGroup(object):
         self._C = A - self._a * np.eye(2)
         # mu^2 = a^2 - det(A); C^2 = mu^2 I
         self._mu2 = self._a ** 2 - float(np.linalg.det(A))
+        # a when A = a I exactly (orbits are rays, t^A = t^a), else None
+        self.scalar = None if np.any(self._C) else float(self._a)
 
-    def power(self, t):
-        """t^A as a (2, 2) array for scalar t, or (..., 2, 2) for array t."""
+    def _parts(self, t):
+        """(e^{as}, cosh(s mu), s sinhc(s mu)) at s = log t, shaped like t."""
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ConfigError("matrix power needs t > 0")
         s = np.log(t)
         c, shc = _sinhc_cosh(self._mu2 * s * s)
-        ea = np.exp(self._a * s)
-        out = np.empty(s.shape + (2, 2))
-        out[..., 0, 0] = ea * (c + s * shc * self._C[0, 0])
-        out[..., 0, 1] = ea * (s * shc * self._C[0, 1])
-        out[..., 1, 0] = ea * (s * shc * self._C[1, 0])
-        out[..., 1, 1] = ea * (c + s * shc * self._C[1, 1])
+        return np.exp(self._a * s), c, s * shc
+
+    def power(self, t):
+        """t^A as a (2, 2) array for scalar t, or (..., 2, 2) for array t."""
+        ea, c, q = self._parts(t)
+        C = self._C
+        out = np.empty(np.shape(c) + (2, 2))
+        out[..., 0, 0] = ea * (c + q * C[0, 0])
+        out[..., 0, 1] = ea * (q * C[0, 1])
+        out[..., 1, 0] = ea * (q * C[1, 0])
+        out[..., 1, 1] = ea * (c + q * C[1, 1])
         return out
 
     def apply(self, t, xi):
-        """t^A xi with t scalar or shaped like xi[..., 0]; xi shape (..., 2)."""
-        P = self.power(t)
+        """t^A xi with t scalar or shaped like xi[..., 0]; xi shape (..., 2).
+
+        Forms the four entries of t^A with the expressions of power(), shaped
+        like t, so no (..., 2, 2) array is built and the result is the same
+        to the bit.
+        """
+        ea, c, q = self._parts(t)
+        C = self._C
         xi = np.asarray(xi, dtype=float)
-        x = P[..., 0, 0] * xi[..., 0] + P[..., 0, 1] * xi[..., 1]
-        y = P[..., 1, 0] * xi[..., 0] + P[..., 1, 1] * xi[..., 1]
+        x = ea * (c + q * C[0, 0]) * xi[..., 0] + ea * (q * C[0, 1]) * xi[..., 1]
+        y = ea * (q * C[1, 0]) * xi[..., 0] + ea * (c + q * C[1, 1]) * xi[..., 1]
         return np.stack([x, y], axis=-1)
 
 

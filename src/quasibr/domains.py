@@ -68,9 +68,12 @@ class ConvexDomain(object):
         th = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
         pts = self.boundary_point(th)
         # support function h(u) = max_p <p, u>; its min over u is the inradius
-        # at the origin.  Evaluate on the same angular grid.
+        # at the origin.  Evaluate on the same angular grid, 512 boundary
+        # points at a time, so no 8192 x 8192 matrix is held at once.
         u = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        h = np.max(pts @ u.T, axis=0)
+        h = np.full(len(th), -np.inf)
+        for i in range(0, len(pts), 512):
+            np.maximum(h, np.max(pts[i:i + 512] @ u.T, axis=0), out=h)
         return float(np.min(h))
 
     def contains(self, points):

@@ -1,8 +1,10 @@
 """Compatible pairs (Omega, A) and the norm function rho.
 
 rho(xi) is the unique t > 0 with t^{-A} xi on the boundary of Omega; it
-satisfies rho(t^A xi) = t rho(xi).  Evaluation is a vectorized bisection in
-log2 t, safe because compatibility guarantees a single monotone crossing.
+satisfies rho(t^A xi) = t rho(xi).  For A = a I it has the closed form
+(|xi| / r(arg xi))^{1/a}.  For any other A it is the root in log2 t of a
+bracketed, vectorized Illinois iteration with a bisection safeguard, safe
+because compatibility guarantees a single monotone crossing.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from .errors import ConfigError, IncompatiblePairError
 
 _REL_TOL = 1e-12
 _S_LIMIT = 60.0  # bracket expansion limit: t in [2^-60, 2^60]
+_MAX_STEPS = 100  # Illinois/bisection steps per point
 
 
 class CompatiblePair(object):
@@ -41,15 +44,29 @@ class CompatiblePair(object):
 
 
 def _signed_outside(pair, s, xi):
-    """|y| - r(angle(y)) for y = (2^s)^{-A} xi: positive iff outside."""
+    """log(|y| / r(angle(y))) for y = (2^s)^{-A} xi: positive iff outside.
+
+    Linear in s for A = a I and close to linear for any A, which is what
+    makes the secant steps of eval_rho converge in a few passes.
+    """
     y = pair.group.apply(2.0 ** (-s), xi)
     r = np.hypot(y[..., 0], y[..., 1])
     th = np.arctan2(y[..., 1], y[..., 0])
-    return r - pair.domain.radial(th)
+    return np.log(r / pair.domain.radial(th))
 
 
 def eval_rho(pair, xi):
-    """Vectorized rho; xi shape (..., 2), returns shape (...)."""
+    """Vectorized rho; xi shape (..., 2), returns shape (...).
+
+    For A = a I the orbits are rays and rho = (|xi| / r(arg xi))^{1/a}, one
+    radial evaluation per point.  Otherwise the root s = log2 rho of
+    _signed_outside is bracketed and closed in by Illinois steps (regula
+    falsi that halves the retained end's value when the same end moves
+    twice running; Dowell & Jarratt, BIT 11, 1971), bisecting whenever the
+    secant point is not strictly inside the bracket.  Each point stops on
+    its own bracket width 1e-12 in s and only its own values enter its
+    steps, so its rho does not depend on the other points of the batch.
+    """
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 1
     pts = xi.reshape(-1, 2)
@@ -58,38 +75,60 @@ def eval_rho(pair, xi):
     out = np.zeros(len(pts))
     if np.any(nz):
         p = pts[nz]
-        # initial guess from the isotropic surrogate |xi| / 2^M
-        amin = max(min(pair.group.eig_re), 1e-3)
-        amax = max(pair.group.eig_re)
-        s0 = np.log2(np.maximum(norms[nz], 1e-300) / 2.0 ** pair.M)
-        lo = np.minimum(s0 / amin, s0 / amax) - 1.0
-        hi = np.maximum(s0 / amin, s0 / amax) + 1.0
-        # expand until (2^lo)^{-A} xi is outside and (2^hi)^{-A} xi inside
-        step = 1.0
-        for _ in range(80):
-            bad_lo = _signed_outside(pair, lo, p) <= 0.0
-            bad_hi = _signed_outside(pair, hi, p) >= 0.0
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            lo = np.where(bad_lo, np.maximum(lo - step, -_S_LIMIT), lo)
-            hi = np.where(bad_hi, np.minimum(hi + step, _S_LIMIT), hi)
-            step = min(step * 2.0, 16.0)
+        a = pair.group.scalar
+        if a is not None:
+            r = pair.domain.radial(np.arctan2(p[:, 1], p[:, 0]))
+            out[nz] = (norms[nz] / r) ** (1.0 / a)
         else:
-            raise ConfigError("rho root not bracketed in t range [2^-60, 2^60]")
-        # bisection in s = log2 t down to relative tolerance 1e-12 in t; each
-        # point stops at its own bracket width, so its rho does not depend
-        # on the other points of the batch
-        for _ in range(64):
-            active = hi - lo >= _REL_TOL
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            outside = _signed_outside(pair, mid, p) > 0.0
-            lo = np.where(active & outside, mid, lo)
-            hi = np.where(active & ~outside, mid, hi)
-        out[nz] = 2.0 ** (0.5 * (lo + hi))
+            out[nz] = 2.0 ** _log2_rho(pair, p, norms[nz])
     out = out.reshape(xi.shape[:-1])
     return float(out) if scalar else out
+
+
+def _log2_rho(pair, p, norms):
+    """log2 rho at the nonzero points p (general A): bracket, then Illinois."""
+    # initial bracket from the isotropic surrogate |xi| / 2^M
+    amin = max(min(pair.group.eig_re), 1e-3)
+    amax = max(pair.group.eig_re)
+    s0 = np.log2(np.maximum(norms, 1e-300) / 2.0 ** pair.M)
+    lo = np.minimum(s0 / amin, s0 / amax) - 1.0
+    hi = np.maximum(s0 / amin, s0 / amax) + 1.0
+    f_lo = _signed_outside(pair, lo, p)
+    f_hi = _signed_outside(pair, hi, p)
+    # expand until (2^lo)^{-A} xi is outside and (2^hi)^{-A} xi inside
+    step = 1.0
+    for _ in range(80):
+        bad_lo = f_lo <= 0.0
+        bad_hi = f_hi >= 0.0
+        if not (bad_lo.any() or bad_hi.any()):
+            break
+        lo[bad_lo] = np.maximum(lo[bad_lo] - step, -_S_LIMIT)
+        hi[bad_hi] = np.minimum(hi[bad_hi] + step, _S_LIMIT)
+        f_lo[bad_lo] = _signed_outside(pair, lo[bad_lo], p[bad_lo])
+        f_hi[bad_hi] = _signed_outside(pair, hi[bad_hi], p[bad_hi])
+        step = min(step * 2.0, 16.0)
+    else:
+        raise ConfigError("rho root not bracketed in t range [2^-60, 2^60]")
+    # Illinois steps; last_end[k] says which end the last step replaced
+    last_end = np.zeros(len(p), dtype=np.int8)  # 1 lo, -1 hi, 0 none yet
+    for _ in range(_MAX_STEPS):
+        k = np.flatnonzero(hi - lo >= _REL_TOL)
+        if not len(k):
+            return 0.5 * (lo + hi)
+        a, b, fa, fb = lo[k], hi[k], f_lo[k], f_hi[k]
+        with np.errstate(all="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        fx = _signed_outside(pair, x, p[k])
+        outside = fx > 0.0
+        # an exact zero closes the bracket at x
+        lo[k] = np.where(outside | (fx == 0.0), x, a)
+        hi[k] = np.where(outside, b, x)
+        last = last_end[k]
+        f_lo[k] = np.where(outside, fx, np.where(last < 0, 0.5 * fa, fa))
+        f_hi[k] = np.where(outside, np.where(last > 0, 0.5 * fb, fb), fx)
+        last_end[k] = np.where(outside, 1, -1)
+    raise ConfigError("rho not resolved to 1e-12 in %d steps" % _MAX_STEPS)
 
 
 def frequency_grid(N, L):

@@ -198,3 +198,50 @@ def test_kernel_l1_accepts_a_tile_of_the_tiling(tmp_path):
                  "--k-max", "2", "--tail-tol", "1.0", "--out", str(tmp_path)])
     assert code == 0
     assert json.loads((tmp_path / "kernel_l1.json").read_text())["l1"] > 0.0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, flag, id=" ".join(argv)) for argv, flag in (
+        (["overlap-count", "--deltas", "0.0625"], "--deltas needs at least 3"),
+        (["overlap-count", "--deltas", "0.0625,0.03125"],
+         "--deltas needs at least 3"),
+        (["lwp-probe", "--deltas", "0.0625"], "--deltas needs at least 2"),
+        (["kernel-maximal-probe", "--deltas", "0.0625"],
+         "--deltas needs at least 2"),
+        (["sqfn-scaling", "--deltas", "0.0625,2^-4"],
+         "--deltas needs at least 2"),
+        (["maximal-growth", "--Ns", "8"], "--Ns needs at least 2"))])
+def test_growth_fit_on_too_few_scales_exits_3(tmp_path, capsys, monkeypatch,
+                                              argv, flag):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("pair or family built for a rejected fit")
+
+    monkeypatch.setattr(cli, "_build_pair", nothing_built)
+    monkeypatch.setattr(cli, "RectangleFamily", nothing_built)
+    code = _run(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("configuration error: " + flag)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, m, id=" ".join(argv)) for argv, m in (
+        (["maximal-growth", "--Ns", "0"], "--Ns: every N must be at least 1"),
+        (["maximal-growth", "--Ns", "8,-16"],
+         "--Ns: every N must be at least 1"),
+        (["br-mean", "--grid", "64,0"], "--grid: grid L must be finite"),
+        (["br-mean", "--grid", "64,-5"], "--grid: grid L must be finite"),
+        (["br-mean", "--grid", "64,nan"], "--grid: grid L must be finite"),
+        (["br-mean", "--grid", "64,inf"], "--grid: grid L must be finite"),
+        (["br-mean", "--grid", "63,6"], "--grid: grid N must be an even"),
+        (["br-mean", "--grid", "0,6"], "--grid: grid N must be an even"),
+        (["sqfn-scaling", "--grid", "64"], "--grid: grid must be 'N,L'"))])
+def test_bad_sizes_and_grids_exit_3_without_traceback(tmp_path, capsys, argv,
+                                                      message):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -65,3 +65,23 @@ def test_orbit_tangent_finite_difference():
     eps = 1e-6
     fd = (g.apply(t * (1 + eps), xi) - g.apply(t * (1 - eps), xi)) / (2 * eps * t)
     assert np.allclose(orbit_tangent(g, xi, t), fd, rtol=1e-5)
+
+
+def test_apply_is_bit_equal_to_power_entries():
+    # apply forms t^A xi from the entries of power(t) without building them
+    rng = np.random.default_rng(1)
+    xi = rng.normal(scale=20.0, size=(200, 2))
+    for A in CASES + [3.0 * np.eye(2)]:
+        g = DilationGroup(A)
+        for t in (0.3, np.exp(rng.normal(size=200))):
+            P = g.power(t)
+            want = np.stack([P[..., 0, 0] * xi[:, 0] + P[..., 0, 1] * xi[:, 1],
+                             P[..., 1, 0] * xi[:, 0] + P[..., 1, 1] * xi[:, 1]],
+                            axis=-1)
+            assert np.array_equal(g.apply(t, xi), want), (A, t)
+
+
+def test_scalar_is_set_exactly_for_multiples_of_the_identity():
+    assert DilationGroup(2.5 * np.eye(2)).scalar == 2.5
+    for A in CASES[1:]:
+        assert DilationGroup(A).scalar is None

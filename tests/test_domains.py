@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,18 @@ def test_smooth_approximate_is_convex_and_close():
     th = np.linspace(-np.pi, np.pi, 360)
     assert np.max(np.abs(sm.radial(th) - dom.radial(th))) < 0.5
     assert sm.convexity_defect() < 1e-6
+
+
+def test_inner_radius_matches_one_shot_support_matrix_in_small_memory():
+    dom = Superellipse(10.0, 10.0, 4.0)
+    th = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    u = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    want = float(np.min(np.max(dom.boundary_point(th) @ u.T, axis=0)))
+    tracemalloc.start()
+    try:
+        got = dom.inner_radius()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 64e6

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasibr.domains import Disk, Polygon
+from quasibr.domains import Disk, Polygon, Superellipse, regular_polygon
 from quasibr.quasinorm import (check_compatibility, eval_rho,
                                rho_lipschitz_probe, rho_omega_grid)
 from quasibr.errors import IncompatiblePairError
@@ -118,3 +119,109 @@ def test_rho_of_a_point_does_not_depend_on_its_batch(request, name):
     batch = eval_rho(pair, xi)
     alone = np.array([eval_rho(pair, x) for x in xi[:300]])
     assert np.array_equal(alone, batch[:300])
+
+
+def _bisection_rho(pair, xi):
+    """Reference rho: bracket, then bisect in s = log2 t to width 1e-12 on
+    the sign of |y| - r(angle(y)), y = (2^s)^{-A} xi (xi nonzero, (n, 2))."""
+    def outside(s):
+        y = pair.group.apply(2.0 ** (-s), xi)
+        r = np.hypot(y[:, 0], y[:, 1])
+        return r - pair.domain.radial(np.arctan2(y[:, 1], y[:, 0]))
+
+    amin = max(min(pair.group.eig_re), 1e-3)
+    amax = max(pair.group.eig_re)
+    s0 = np.log2(np.hypot(xi[:, 0], xi[:, 1]) / 2.0 ** pair.M)
+    lo = np.minimum(s0 / amin, s0 / amax) - 1.0
+    hi = np.maximum(s0 / amin, s0 / amax) + 1.0
+    step = 1.0
+    for _ in range(80):
+        bad_lo = outside(lo) <= 0.0
+        bad_hi = outside(hi) >= 0.0
+        if not (bad_lo.any() or bad_hi.any()):
+            break
+        lo = np.where(bad_lo, lo - step, lo)
+        hi = np.where(bad_hi, hi + step, hi)
+        step = min(step * 2.0, 16.0)
+    while np.any(hi - lo >= 1e-12):
+        active = hi - lo >= 1e-12
+        mid = 0.5 * (lo + hi)
+        out = outside(mid) > 0.0
+        lo = np.where(active & out, mid, lo)
+        hi = np.where(active & ~out, mid, hi)
+    return 2.0 ** (0.5 * (lo + hi))
+
+
+def _points(seed, n=48):
+    """n nonzero points over five decades of |xi| and all directions."""
+    rng = np.random.default_rng(seed)
+    r = 10.0 ** rng.uniform(-2.0, 3.0, n)
+    ang = rng.uniform(-np.pi, np.pi, n)
+    return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+
+
+def _assert_rho_matches_bisection(pair, seed):
+    xi = _points(seed)
+    want = _bisection_rho(pair, xi)
+    got = eval_rho(pair, xi)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(a=st.floats(0.25, 4.0), semi=st.tuples(st.floats(8.5, 20.0),
+                                               st.floats(8.5, 20.0)),
+       p=st.floats(2.0, 8.0), seed=_SEEDS)
+def test_closed_form_rho_matches_bisection_on_superellipses(a, semi, p, seed):
+    pair = check_compatibility(Superellipse(semi[0], semi[1], p),
+                               a * np.eye(2))
+    assert pair.group.scalar == a
+    _assert_rho_matches_bisection(pair, seed)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(a=st.floats(0.25, 4.0), k=st.integers(3, 9),
+       phase=st.floats(-np.pi, np.pi), seed=_SEEDS)
+def test_closed_form_rho_matches_bisection_on_polygons(a, k, phase, seed):
+    # circumradius 1.25x the least one whose polygon holds the ball of
+    # radius 8
+    dom = regular_polygon(k, 1.25 * 8.0 / np.cos(np.pi / k), phase=phase)
+    pair = check_compatibility(dom, a * np.eye(2))
+    _assert_rho_matches_bisection(pair, seed)
+
+
+def _general_A(kind, a, x, y):
+    """A with Re(eigenvalues) > 0 and positive definite symmetric part, so
+    it is compatible with every disk."""
+    if kind == "distinct-real":
+        return np.array([[a, x * a], [0.0, a * (1.5 + y)]])
+    if kind == "jordan":
+        return np.array([[a, 1.5 * x * a], [0.0, a]])
+    # eigenvalues a +- i a sqrt((0.5 + x)(0.5 + y))
+    return np.array([[a, -(0.5 + x) * a], [(0.5 + y) * a, a]])
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(kind=st.sampled_from(["distinct-real", "jordan", "complex-pair"]),
+       a=st.floats(0.25, 4.0), x=st.floats(0.1, 1.0), y=st.floats(0.0, 1.0),
+       radius=st.floats(8.5, 20.0), seed=_SEEDS)
+def test_illinois_rho_matches_bisection(kind, a, x, y, radius, seed):
+    pair = check_compatibility(Disk(radius), _general_A(kind, a, x, y))
+    assert pair.group.scalar is None
+    _assert_rho_matches_bisection(pair, seed)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(a=st.floats(0.25, 4.0).filter(lambda v: abs(v - 1.0) > 1e-3),
+       k=st.integers(3, 9), seed=_SEEDS)
+def test_rho_homogeneous_under_scalar_dilations(a, k, seed):
+    pair = check_compatibility(
+        regular_polygon(k, 1.25 * 8.0 / np.cos(np.pi / k)), a * np.eye(2))
+    xi = _points(seed)
+    t = np.exp(np.random.default_rng(seed).uniform(np.log(0.1), np.log(10.0),
+                                                   len(xi)))
+    base = eval_rho(pair, xi)
+    scaled = eval_rho(pair, pair.group.apply(t, xi))
+    assert np.max(np.abs(scaled - t * base) / (t * base)) <= 1e-12
