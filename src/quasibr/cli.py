@@ -5,11 +5,18 @@ CSV curves plus a JSON summary embedding the config hash and a manifest of
 versions and parameters.  Exit codes: 0 pass, 2 threshold failure,
 3 configuration error (a malformed command line included),
 4 numerical-resolution error.
+
+Every option is declared once in `_OPTIONS` with its argparse spec and its
+value rule; every subcommand is declared once with `_command`.  `main`
+checks the options, runs the study, then writes its CSV and JSON and turns
+`"pass": false` into exit 2.
 """
 
 import argparse
+import collections
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -18,9 +25,9 @@ import numpy as np
 from . import __version__
 from .bumps import BumpLibrary, full_annulus_symbol, kernel_annulus_l1, \
     kernel_build, kernel_from_rho_symbol, plateau
-from .caps import decompose
+from .caps import DELTA_MAX, decompose
 from .dilation import DilationGroup
-from .domains import _finite, boundary_arc, domain_from_config
+from .domains import _finite, _positive, boundary_arc, domain_from_config
 from .errors import ConfigError, GeometryError, ResolutionError, \
     ThresholdFailure
 from .grid import GridField, bochner_riesz_mean, delta_scaling_experiment, \
@@ -64,6 +71,10 @@ def _build_pair(cfg):
         domain, DilationGroup(cfg.get("A", [[1.0, 0.0], [0.0, 1.0]])))
 
 
+# -- options -------------------------------------------------------------------
+# Parsers (argparse `type`) reject malformed text as usage errors; rules
+# (value, flag) -> value run after parsing and raise ConfigError.
+
 def _parse_deltas(text):
     """'2^-3..2^-7' or comma list of floats / 2^-k tokens."""
     def one(tok):
@@ -71,13 +82,16 @@ def _parse_deltas(text):
         if tok.startswith("2^"):
             return 2.0 ** float(tok[2:])
         return float(tok)
-    if ".." in text:
-        a, b = text.split("..")
-        ka = int(round(np.log2(one(a))))
-        kb = int(round(np.log2(one(b))))
-        step = -1 if kb < ka else 1
-        return [2.0 ** k for k in range(ka, kb + step, step)]
-    return [one(t) for t in text.split(",")]
+    try:
+        if ".." in text:
+            a, b = text.split("..")
+            ka = int(round(math.log2(one(a))))
+            kb = int(round(math.log2(one(b))))
+            step = -1 if kb < ka else 1
+            return [2.0 ** k for k in range(ka, kb + step, step)]
+        return [one(t) for t in text.split(",")]
+    except OverflowError:
+        raise argparse.ArgumentTypeError("deltas out of range: %r" % text)
 
 
 def _parse_grid(text):
@@ -105,107 +119,146 @@ def _parse_sizes(text):
     return sizes
 
 
-def _need_scales(values, flag, least=2):
-    """ConfigError unless values holds `least` distinct scales: a growth
-    fit on fewer tests nothing."""
-    if len(set(values)) < least:
-        raise ConfigError("%s needs at least %d distinct values for a growth "
-                          "fit, got %d" % (flag, least, len(set(values))))
+def _deltas_in_range(deltas, flag):
+    for delta in deltas:
+        if not 0.0 < delta <= DELTA_MAX:
+            raise ConfigError("%s: delta must lie in (0, %g], got %r"
+                              % (flag, DELTA_MAX, delta))
+    return deltas
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _at_least_one(value, flag):
+    if value < 1:
+        raise ConfigError("%s must be at least 1, got %d" % (flag, value))
+    return value
 
 
-def _write_json(path, payload, cfg, params):
-    payload = dict(payload)
-    payload["config"] = cfg
-    payload["config_hash"] = _config_hash(cfg)
-    payload["manifest"] = {
-        "package": __version__,
-        "numpy": np.__version__,
-        "parameters": params,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+def _tile_indices(text, flag):
+    try:
+        i, j, m, n = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError("indices must be four integers i,j,m,n")
+    return i, j, m, n
 
 
-def _out_path(args, name):
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+# rho profiles m(s) for mult-norm; br reads --lambda (default 1)
+_MULTIPLIERS = {
+    "one": lambda s, lam: np.ones_like(s),
+    "bump": lambda s, lam: plateau((s - 1.0) * 2.0),
+    "br": lambda s, lam: np.where(
+        s < 1.0, np.maximum(1.0 - s, 0.0) ** (1.0 if lam is None else lam),
+        0.0),
+}
+
+
+# dest: (flag, argparse keywords, rule or None)
+_OPTIONS = {
+    "config": ("--config", {"help": "JSON config file"}, None),
+    "seed": ("--seed", {"type": int, "default": 0}, None),
+    "out": ("--out", {"default": ".", "help": "output directory"}, None),
+    "delta": ("--delta", {"type": float, "default": 2.0 ** -4}, _finite),
+    "deltas": ("--deltas", {"type": _parse_deltas}, _deltas_in_range),
+    "grid": ("--grid", {"type": _parse_grid, "default": (256, 24.0)}, None),
+    "Ns": ("--Ns", {"type": _parse_sizes}, None),
+    "lam": ("--lambda", {"type": float}, _finite),
+    "u": ("--u", {"type": float, "default": 1.0}, _finite),
+    "t": ("--t", {"type": float, "default": 1.0}, _finite),
+    "tiles": ("--tiles", {"type": int, "default": 50}, _at_least_one),
+    "indices": ("--indices", {"help": "i,j,m,n tile indices"}, _tile_indices),
+    "l": ("--l", {"type": int, "default": 5, "help": "full-annulus symbol "
+                  "sharpness when no tile given"}, None),
+    "k_min": ("--k-min", {"type": int, "default": 1}, None),
+    "k_max": ("--k-max", {"type": int, "default": 10}, None),
+    "tail_tol": ("--tail-tol", {"type": float, "default": 5e-3}, _finite),
+    "slope_min": ("--slope-min", {"type": float, "default": 0.45}, _finite),
+    "L_per_N": ("--L-per-N", {"type": float, "default": 0.09375}, _positive),
+    "nt": ("--nt", {"type": int, "default": 40}, _at_least_one),
+    "multiplier": ("--multiplier", {"default": "bump",
+                                    "choices": tuple(_MULTIPLIERS)}, None),
+    "alpha": ("--alpha", {"type": float, "default": 0.6}, _finite),
+}
+
+_REQUIRED = object()
+
+_Command = collections.namedtuple(
+    "_Command", "study help csv json options defaults scales")
+
+# what a study hands the runner: the summary payload, the CSV header and
+# rows (None when the study writes no CSV), and the message for exit 2
+# when payload["pass"] is false
+_Study = collections.namedtuple("_Study", "payload header rows failure",
+                                defaults=(None, None, None))
+
+_COMMANDS = {}
+
+
+def _command(name, help, files, options, scales=None, **defaults):
+    """Declare subcommand `name`: `files` its (CSV or None, JSON) names,
+    `options` the _OPTIONS it takes besides config, seed and out,
+    `defaults` those that differ from _OPTIONS (_REQUIRED: none), and
+    `scales` the (option, least) distinct-value count its fit needs."""
+    def register(study):
+        _COMMANDS[name] = _Command(
+            study, help, files[0], files[1],
+            ["config", "seed", "out"] + options.split(), defaults, scales)
+        return study
+    return register
 
 
 # -- subcommand implementations ------------------------------------------------
 
+@_command("decompose", "boundary cap decomposition",
+          (None, "decompose.json"), "delta", delta=_REQUIRED)
 def cmd_decompose(args, cfg):
     pair = _build_pair(cfg)
     arc = boundary_arc(pair.domain,
                        _finite(cfg.get("rotation", 0.0), "rotation"))
     d = decompose(arc, args.delta)
-    payload = {
-        "delta": args.delta,
-        "points": list(d.points),
-        "intervals": [list(iv) for iv in d.refined],
-        "Q": d.Q,
-        "Qprime": d.Qprime,
-    }
-    _write_json(_out_path(args, "decompose.json"), payload, cfg,
-                {"delta": args.delta})
-    return 0
+    return _Study({"delta": args.delta, "points": list(d.points),
+                   "intervals": [list(iv) for iv in d.refined],
+                   "Q": d.Q, "Qprime": d.Qprime})
 
 
+@_command("tile", "build the frequency tiling", ("tiles.csv", "tile.json"),
+          "delta", delta=_REQUIRED)
 def cmd_tile(args, cfg):
-    pair = _build_pair(cfg)
-    tiling = Tiling(pair, args.delta)
+    tiling = Tiling(_build_pair(cfg), args.delta)
     rows = [(int(tiling.sector_idx[k]), int(tiling.j_idx[k]),
              int(tiling.m_idx[k]), int(tiling.n_idx[k]),
              float(tiling.rho_lo[k]), float(tiling.rho_hi[k]),
              float(tiling.tau_lo[k]), float(tiling.tau_hi[k]))
             for k in range(tiling.size)]
-    _write_csv(_out_path(args, "tiles.csv"),
-               ["sector", "interval", "m", "n",
-                "rho_lo", "rho_hi", "tau_lo", "tau_hi"], rows)
-    payload = {"delta": args.delta, "n_tiles": tiling.size,
-               "n_sectors": len(tiling.sectors)}
-    _write_json(_out_path(args, "tile.json"), payload, cfg,
-                {"delta": args.delta})
-    return 0
+    return _Study({"delta": args.delta, "n_tiles": tiling.size,
+                   "n_sectors": len(tiling.sectors)},
+                  ["sector", "interval", "m", "n",
+                   "rho_lo", "rho_hi", "tau_lo", "tau_hi"], rows)
 
 
+@_command("overlap-count", "sum-set overlap counting",
+          ("overlap.csv", "overlap.json"), "deltas u t", scales=("deltas", 3),
+          deltas=_REQUIRED)
 def cmd_overlap_count(args, cfg):
-    _need_scales(args.deltas, "--deltas", 3)
     pair = _build_pair(cfg)
-    deltas = args.deltas
-    rows = []
-    for delta in deltas:
-        rep = count_sum_overlaps(pair, delta, u=args.u, t=args.t)
-        rows.append((delta, rep.max_overlap))
-    _write_csv(_out_path(args, "overlap.csv"), ["delta", "count"], rows)
+    rows = [(delta, count_sum_overlaps(pair, delta, u=args.u,
+                                       t=args.t).max_overlap)
+            for delta in args.deltas]
     counts = np.array([r[1] for r in rows], dtype=float)
-    x = np.log(1.0 / np.array(deltas)) ** 2
+    x = np.log(1.0 / np.array(args.deltas)) ** 2
     b, a = np.polyfit(x, counts, 1)
     fitted = a + b * x
     resid = float(np.max(np.abs(counts - fitted) / fitted))
-    payload = {"deltas": deltas, "counts": counts.tolist(),
-               "fit": {"a": a, "b": b, "max_rel_residual": resid},
-               "pass": bool(b > 0 and resid < 0.2)}
-    _write_json(_out_path(args, "overlap.json"), payload, cfg,
-                {"u": args.u, "t": args.t})
-    if not payload["pass"]:
-        raise ThresholdFailure("overlap fit failed: b=%g resid=%g" % (b, resid))
-    return 0
+    return _Study({"deltas": args.deltas, "counts": counts.tolist(),
+                   "fit": {"a": a, "b": b, "max_rel_residual": resid},
+                   "pass": bool(b > 0 and resid < 0.2)},
+                  ["delta", "count"], rows,
+                  "overlap fit failed: b=%g resid=%g" % (b, resid))
 
 
+@_command("active-time", "active scale measure per tile",
+          ("active_time.csv", "active_time.json"), "delta tiles",
+          delta=_REQUIRED)
 def cmd_active_time(args, cfg):
-    if args.tiles < 1:
-        raise ConfigError("--tiles must be at least 1")
-    pair = _build_pair(cfg)
-    tiling = Tiling(pair, args.delta)
+    tiling = Tiling(_build_pair(cfg), args.delta)
     rng = np.random.default_rng(args.seed)
     picks = rng.choice(tiling.size, size=min(args.tiles, tiling.size),
                        replace=False)
@@ -214,67 +267,58 @@ def cmd_active_time(args, cfg):
         meas = active_time_measure(tiling.rho_lo[k], tiling.rho_hi[k],
                                    args.delta)
         rows.append((int(k), meas, meas / args.delta))
-    _write_csv(_out_path(args, "active_time.csv"),
-               ["tile", "measure", "measure_over_delta"], rows)
     ratios = [r[2] for r in rows]
-    payload = {"delta": args.delta, "max_ratio": max(ratios),
-               "min_ratio": min(ratios)}
-    _write_json(_out_path(args, "active_time.json"), payload, cfg,
-                {"delta": args.delta, "tiles": len(rows)})
-    return 0
+    return _Study({"delta": args.delta, "max_ratio": max(ratios),
+                   "min_ratio": min(ratios)},
+                  ["tile", "measure", "measure_over_delta"], rows)
 
 
+@_command("kernel-l1", "kernel annulus L1 table",
+          ("kernel_l1.csv", "kernel_l1.json"),
+          "delta grid indices l k_min k_max tail_tol", grid=(2048, 240.0))
 def cmd_kernel_l1(args, cfg):
+    if args.k_min > args.k_max:
+        raise ConfigError("--k-min %d exceeds --k-max %d"
+                          % (args.k_min, args.k_max))
     pair = _build_pair(cfg)
-    N, L = args.grid
     if args.indices is not None:
-        try:
-            i, j, m, n = (int(v) for v in args.indices.split(","))
-        except ValueError:
-            raise ConfigError("indices must be four integers i,j,m,n")
+        i, j, m, n = args.indices
         tiling = Tiling(pair, args.delta)
         arcs, shells = tiling.arcs, tiling.shells
         if not (np.any((arcs.sector_idx == i) & (arcs.j_idx == j))
                 and np.any((shells.m_idx == m) & (shells.n_idx == n))):
-            raise ConfigError("indices %s name no tile of the tiling"
-                              % args.indices)
-        lib = BumpLibrary(tiling)
-        kern = kernel_build(lib, pair, (i, j, m, n), (N, L),
-                            tail_tol=args.tail_tol)
+            raise ConfigError("indices %d,%d,%d,%d name no tile of the "
+                              "tiling" % args.indices)
+        kern = kernel_build(BumpLibrary(tiling), pair, args.indices,
+                            args.grid, tail_tol=args.tail_tol)
     else:
-        sym = full_annulus_symbol(args.l)
-        kern = kernel_from_rho_symbol(pair, sym, (N, L),
-                                      tail_tol=args.tail_tol)
+        kern = kernel_from_rho_symbol(pair, full_annulus_symbol(args.l),
+                                      args.grid, tail_tol=args.tail_tol)
     unit = 1.0 / pair.domain.max_radius()
     rows = [(k, kernel_annulus_l1(kern, k, unit=unit))
             for k in range(args.k_min, args.k_max + 1)]
-    _write_csv(_out_path(args, "kernel_l1.csv"), ["k", "value"], rows)
-    payload = {"delta": args.delta, "l1": kern.l1(), "l2": kern.l2()}
-    _write_json(_out_path(args, "kernel_l1.json"), payload, cfg,
-                {"grid": [N, L], "indices": args.indices, "l": args.l})
-    return 0
+    return _Study({"delta": args.delta, "l1": kern.l1(), "l2": kern.l2()},
+                  ["k", "value"], rows)
 
 
+@_command("sqfn-scaling", "square function delta scaling",
+          ("sqfn_scaling.csv", "sqfn_scaling.json"), "deltas grid slope_min",
+          scales=("deltas", 2), deltas=[2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
 def cmd_sqfn_scaling(args, cfg):
-    _need_scales(args.deltas, "--deltas")
-    pair = _build_pair(cfg)
-    rep = delta_scaling_experiment(pair, args.deltas, args.grid,
+    rep = delta_scaling_experiment(_build_pair(cfg), args.deltas, args.grid,
                                    seed=args.seed)
     rows = [(d, r, fid) for d in rep.deltas
             for fid, r in sorted(rep.ratios[d].items())]
-    _write_csv(_out_path(args, "sqfn_scaling.csv"),
-               ["delta", "ratio", "function_id"], rows)
     payload = rep.to_dict()
     payload["pass"] = bool(payload["slope"] >= args.slope_min)
-    _write_json(_out_path(args, "sqfn_scaling.json"), payload, cfg,
-                {"deltas": args.deltas, "grid": list(args.grid),
-                 "seed": args.seed})
-    if not payload["pass"]:
-        raise ThresholdFailure("scaling slope %.3f below %.3f"
-                               % (payload["slope"], args.slope_min))
-    return 0
+    return _Study(payload, ["delta", "ratio", "function_id"], rows,
+                  "scaling slope %.3f below %.3f"
+                  % (payload["slope"], args.slope_min))
 
 
+@_command("glambda-probe", "G^lambda stability probe",
+          ("glambda.csv", "glambda.json"), "lam Ns L_per_N delta nt",
+          scales=("Ns", 2), lam=0.0, Ns=[128, 256])
 def cmd_glambda_probe(args, cfg):
     pair = _build_pair(cfg)
     rows = []
@@ -286,26 +330,23 @@ def cmd_glambda_probe(args, cfg):
             g = square_function_glambda(pair, f, args.lam, t_grid)
             rows.append((N, args.lam, name,
                          g.norm(4) / f.to_physical().norm(4)))
-    _write_csv(_out_path(args, "glambda.csv"),
-               ["N", "lambda", "function_id", "ratio"], rows)
     by_name = {}
     for N, _, name, r in rows:
         by_name.setdefault(name, []).append(r)
     spreads = {k: (max(v) - min(v)) / max(v) for k, v in by_name.items()}
-    payload = {"lambda": args.lam, "spreads": spreads,
-               "pass": bool(max(spreads.values()) < 0.5)}
-    _write_json(_out_path(args, "glambda.json"), payload, cfg,
-                {"Ns": args.Ns, "lambda": args.lam, "seed": args.seed})
-    if not payload["pass"]:
-        raise ThresholdFailure("G^lambda ratio varies by more than 50%")
-    return 0
+    return _Study({"lambda": args.lam, "spreads": spreads,
+                   "pass": bool(max(spreads.values()) < 0.5)},
+                  ["N", "lambda", "function_id", "ratio"], rows,
+                  "G^lambda ratio varies by more than 50%")
 
 
+@_command("maximal-growth", "Nikodym maximal growth in N",
+          ("maximal_growth.csv", "maximal_growth.json"), "lam Ns",
+          scales=("Ns", 2), Ns=[8, 16, 32])
 def cmd_maximal_growth(args, cfg):
-    _need_scales(args.Ns, "--Ns")
-    group = None
-    if "A" in cfg:
-        group = DilationGroup(cfg["A"])
+    if args.lam is not None:
+        _positive(args.lam, "--lambda")
+    group = DilationGroup(cfg["A"]) if "A" in cfg else None
     rows = []
     for Nd in args.Ns:
         lam = args.lam if args.lam is not None else 1.0 / Nd
@@ -315,24 +356,19 @@ def cmd_maximal_growth(args, cfg):
         f = focusing_function(Ng, 1.0, fam)
         mf = nikodym_maximal(f, fam)
         rows.append((Nd, mf.norm(2) / f.norm(2)))
-    _write_csv(_out_path(args, "maximal_growth.csv"), ["N", "ratio"], rows)
     logN = np.log([r[0] for r in rows])
     logr = np.log([r[1] for r in rows])
     slope = float(np.polyfit(logN, logr, 1)[0])
-    payload = {"Ns": args.Ns, "ratios": [r[1] for r in rows],
-               "exponent": slope, "pass": bool(slope <= 0.2)}
-    _write_json(_out_path(args, "maximal_growth.json"), payload, cfg,
-                {"Ns": args.Ns, "lambda": args.lam})
-    if not payload["pass"]:
-        raise ThresholdFailure("Nikodym exponent %.3f exceeds 0.2" % slope)
-    return 0
+    return _Study({"Ns": args.Ns, "ratios": [r[1] for r in rows],
+                   "exponent": slope, "pass": bool(slope <= 0.2)},
+                  ["N", "ratio"], rows,
+                  "Nikodym exponent %.3f exceeds 0.2" % slope)
 
 
-def _sector0_probe_rows(args, cfg, operator):
+def _sector0_probe(args, cfg, operator, passes, failure):
     """(delta, ||operator f||_2 / ||f||_2) per delta, f a random-phase
     spectrum on |rho - 1| < delta inside sector 0 of the tiling, and the
-    fitted exponent in 1/delta."""
-    _need_scales(args.deltas, "--deltas")
+    fitted exponent in 1/delta, which must satisfy `passes`."""
     pair = _build_pair(cfg)
     N, L = args.grid
     rho, omega = rho_omega_grid(pair, N, L)
@@ -350,85 +386,53 @@ def _sector0_probe_rows(args, cfg, operator):
     ld = np.log(1.0 / np.array([r[0] for r in rows]))
     lr = np.log([r[1] for r in rows])
     expo = float(np.polyfit(ld, lr, 1)[0])
-    return rows, expo
+    return _Study({"deltas": args.deltas, "ratios": [r[1] for r in rows],
+                   "exponent": expo, "pass": bool(passes(expo))},
+                  ["delta", "ratio"], rows, failure % expo)
 
 
+@_command("kernel-maximal-probe", "tile kernel maximal",
+          ("kernel_maximal.csv", "kernel_maximal.json"), "deltas grid",
+          scales=("deltas", 2), deltas=[2.0 ** -4, 2.0 ** -5])
 def cmd_kernel_maximal_probe(args, cfg):
-    rows, expo = _sector0_probe_rows(args, cfg, kernel_maximal)
-    _write_csv(_out_path(args, "kernel_maximal.csv"), ["delta", "ratio"], rows)
-    payload = {"deltas": args.deltas, "ratios": [r[1] for r in rows],
-               "exponent": expo, "pass": bool(expo <= 0.1)}
-    _write_json(_out_path(args, "kernel_maximal.json"), payload, cfg,
-                {"grid": list(args.grid), "seed": args.seed})
-    if not payload["pass"]:
-        raise ThresholdFailure("kernel maximal exponent %.3f > 0.1" % expo)
-    return 0
+    return _sector0_probe(args, cfg, kernel_maximal, lambda e: e <= 0.1,
+                          "kernel maximal exponent %.3f > 0.1")
 
 
+@_command("lwp-probe", "tile projection square function",
+          ("lwp.csv", "lwp.json"), "deltas grid",
+          scales=("deltas", 2), deltas=[2.0 ** -4, 2.0 ** -5])
 def cmd_lwp_probe(args, cfg):
-    rows, expo = _sector0_probe_rows(args, cfg, tile_projection_square_function)
-    _write_csv(_out_path(args, "lwp.csv"), ["delta", "ratio"], rows)
-    payload = {"deltas": args.deltas, "ratios": [r[1] for r in rows],
-               "exponent": expo, "pass": bool(abs(expo) <= 0.1)}
-    _write_json(_out_path(args, "lwp.json"), payload, cfg,
-                {"grid": list(args.grid), "seed": args.seed})
-    if not payload["pass"]:
-        raise ThresholdFailure("tile square function exponent %.3f" % expo)
-    return 0
+    return _sector0_probe(args, cfg, tile_projection_square_function,
+                          lambda e: abs(e) <= 0.1,
+                          "tile square function exponent %.3f")
 
 
-_MULTIPLIERS = {
-    "one": lambda s: np.ones_like(s),
-    "bump": lambda s: plateau((s - 1.0) * 2.0),
-}
-
-
-def _multiplier(args):
-    if args.multiplier in _MULTIPLIERS:
-        return _MULTIPLIERS[args.multiplier]
-    if args.multiplier == "br":
-        lam = args.lam if args.lam is not None else 1.0
-        return lambda s: np.where(s < 1.0, np.maximum(1.0 - s, 0.0) ** lam,
-                                  0.0)
-    raise ConfigError("unknown multiplier %r; use one, bump or br"
-                      % args.multiplier)
-
-
+@_command("mult-norm", "weighted multiplier functional",
+          (None, "mult_norm.json"), "multiplier alpha lam")
 def cmd_mult_norm(args, cfg):
-    m = _multiplier(args)
-    val = hormander_sobolev_norm(m, args.alpha)
-    payload = {"multiplier": args.multiplier, "alpha": args.alpha,
-               "lambda": args.lam,
-               "value": ("inf" if np.isinf(val) else val)}
-    _write_json(_out_path(args, "mult_norm.json"), payload, cfg,
-                {"alpha": args.alpha})
-    return 0
+    val = hormander_sobolev_norm(
+        lambda s: _MULTIPLIERS[args.multiplier](s, args.lam), args.alpha)
+    return _Study({"multiplier": args.multiplier, "alpha": args.alpha,
+                   "lambda": args.lam,
+                   "value": ("inf" if np.isinf(val) else val)})
 
 
+@_command("br-mean", "apply one generalized mean",
+          ("br_mean.csv", "br_mean.json"), "t lam grid delta", lam=0.5)
 def cmd_br_mean(args, cfg):
     pair = _build_pair(cfg)
     N, L = args.grid
-    fams = standard_family(pair, N, L, args.delta, seed=args.seed)
-    rows = []
-    for name, f in fams:
-        out = bochner_riesz_mean(pair, f, args.t, args.lam)
-        rows.append((name, f.to_physical().norm(4), out.norm(4)))
-    _write_csv(_out_path(args, "br_mean.csv"),
-               ["function_id", "input_l4", "output_l4"], rows)
-    payload = {"t": args.t, "lambda": args.lam,
-               "ratios": {r[0]: r[2] / r[1] for r in rows}}
-    _write_json(_out_path(args, "br_mean.json"), payload, cfg,
-                {"grid": [N, L], "t": args.t, "lambda": args.lam})
-    return 0
+    rows = [(name, f.to_physical().norm(4),
+             bochner_riesz_mean(pair, f, args.t, args.lam).norm(4))
+            for name, f in standard_family(pair, N, L, args.delta,
+                                           seed=args.seed)]
+    return _Study({"t": args.t, "lambda": args.lam,
+                   "ratios": {r[0]: r[2] / r[1] for r in rows}},
+                  ["function_id", "input_l4", "output_l4"], rows)
 
 
-# -- argument parsing ----------------------------------------------------------
-
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="output directory")
-
+# -- argument parsing and the runner -------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are configuration errors: exit 3, not argparse's 2."""
@@ -444,106 +448,58 @@ def build_parser():
         description="numerical experiments for quasiradial Bochner-Riesz "
                     "square functions")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="boundary cap decomposition")
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("tile", help="build the frequency tiling")
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(func=cmd_tile)
-
-    p = sub.add_parser("overlap-count", help="sum-set overlap counting")
-    _add_common(p)
-    p.add_argument("--deltas", type=_parse_deltas, required=True)
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0)
-    p.set_defaults(func=cmd_overlap_count)
-
-    p = sub.add_parser("active-time", help="active scale measure per tile")
-    _add_common(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--tiles", type=int, default=50)
-    p.set_defaults(func=cmd_active_time)
-
-    p = sub.add_parser("kernel-l1", help="kernel annulus L1 table")
-    _add_common(p)
-    p.add_argument("--delta", type=float, default=2.0 ** -4)
-    p.add_argument("--grid", type=_parse_grid, default=(2048, 240.0))
-    p.add_argument("--indices", default=None, help="i,j,m,n tile indices")
-    p.add_argument("--l", type=int, default=5,
-                   help="full-annulus symbol sharpness when no tile given")
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--tail-tol", type=float, default=5e-3)
-    p.set_defaults(func=cmd_kernel_l1)
-
-    p = sub.add_parser("sqfn-scaling", help="square function delta scaling")
-    _add_common(p)
-    p.add_argument("--deltas", type=_parse_deltas,
-                   default=[2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
-    p.add_argument("--grid", type=_parse_grid, default=(256, 24.0))
-    p.add_argument("--slope-min", type=float, default=0.45)
-    p.set_defaults(func=cmd_sqfn_scaling)
-
-    p = sub.add_parser("glambda-probe", help="G^lambda stability probe")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--Ns", type=_parse_sizes,
-                   default=[128, 256])
-    p.add_argument("--L-per-N", type=float, default=0.09375)
-    p.add_argument("--delta", type=float, default=2.0 ** -4)
-    p.add_argument("--nt", type=int, default=40)
-    p.set_defaults(func=cmd_glambda_probe)
-
-    p = sub.add_parser("maximal-growth", help="Nikodym maximal growth in N")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--Ns", type=_parse_sizes,
-                   default=[8, 16, 32])
-    p.set_defaults(func=cmd_maximal_growth)
-
-    p = sub.add_parser("kernel-maximal-probe", help="tile kernel maximal")
-    _add_common(p)
-    p.add_argument("--deltas", type=_parse_deltas,
-                   default=[2.0 ** -4, 2.0 ** -5])
-    p.add_argument("--grid", type=_parse_grid, default=(256, 24.0))
-    p.set_defaults(func=cmd_kernel_maximal_probe)
-
-    p = sub.add_parser("lwp-probe", help="tile projection square function")
-    _add_common(p)
-    p.add_argument("--deltas", type=_parse_deltas,
-                   default=[2.0 ** -4, 2.0 ** -5])
-    p.add_argument("--grid", type=_parse_grid, default=(256, 24.0))
-    p.set_defaults(func=cmd_lwp_probe)
-
-    p = sub.add_parser("mult-norm", help="weighted multiplier functional")
-    _add_common(p)
-    p.add_argument("--multiplier", default="bump")
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.set_defaults(func=cmd_mult_norm)
-
-    p = sub.add_parser("br-mean", help="apply one generalized mean")
-    _add_common(p)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--grid", type=_parse_grid, default=(256, 24.0))
-    p.add_argument("--delta", type=float, default=2.0 ** -4)
-    p.set_defaults(func=cmd_br_mean)
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for dest in cmd.options:
+            flag, kwargs, _ = _OPTIONS[dest]
+            default = cmd.defaults.get(dest, kwargs.get("default"))
+            p.add_argument(flag, **dict(kwargs, dest=dest, default=default,
+                                        required=default is _REQUIRED))
     return ap
 
 
+def _run(args):
+    """Check the options, run the study, write its CSV then its JSON, and
+    raise ThresholdFailure when it did not pass."""
+    cmd = _COMMANDS[args.command]
+    for dest in cmd.options:
+        flag, _, rule = _OPTIONS[dest]
+        if rule is not None and getattr(args, dest) is not None:
+            setattr(args, dest, rule(getattr(args, dest), flag))
+    if cmd.scales is not None:
+        dest, least = cmd.scales
+        got = len(set(getattr(args, dest)))
+        if got < least:
+            raise ConfigError("%s needs at least %d distinct values, got %d"
+                              % (_OPTIONS[dest][0], least, got))
+    cfg = _load_config(args.config)
+    study = cmd.study(args, cfg)
+    os.makedirs(args.out, exist_ok=True)
+    if study.rows is not None:
+        with open(os.path.join(args.out, cmd.csv), "w") as fh:
+            fh.write(",".join(study.header) + "\n")
+            for row in study.rows:
+                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
+    payload = dict(study.payload, config=cfg, config_hash=_config_hash(cfg))
+    payload["manifest"] = {
+        "package": __version__,
+        "numpy": np.__version__,
+        "parameters": {_OPTIONS[dest][0][2:]: getattr(args, dest)
+                       for dest in cmd.options
+                       if dest not in ("config", "out")},
+    }
+    with open(os.path.join(args.out, cmd.json), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+    if not study.payload.get("pass", True):
+        raise ThresholdFailure(study.failure)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cfg = {}
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        _run(args)
     except (ConfigError, GeometryError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 3
@@ -553,6 +509,7 @@ def main(argv=None):
     except ThresholdFailure as exc:
         print("threshold failure: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -274,6 +274,9 @@ def compute_M(domain):
             "domain must contain the closed ball of radius 8 "
             "(inner radius %.4f)" % domain.inner_radius())
     rmax = domain.max_radius()
+    if not rmax < 2.0 ** 1023:
+        raise GeometryError("domain radius must stay below 2^1023 for 2^M "
+                            "to be a float, got max radius %r" % rmax)
     M = 1
     while 2.0 ** M <= rmax:
         M += 1

@@ -1,9 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from quasibr import bumps, cli
 
@@ -245,3 +248,131 @@ def test_bad_sizes_and_grids_exit_3_without_traceback(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def _exit_code(argv):
+    """main's return code, or the code of the SystemExit of a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, m, id=" ".join(argv)) for argv, m in (
+        (["glambda-probe", "--Ns", "64"], "--Ns needs at least 2"),
+        (["glambda-probe", "--nt", "0"], "--nt must be at least 1"),
+        (["glambda-probe", "--L-per-N", "0"], "--L-per-N must be positive"),
+        (["sqfn-scaling", "--deltas", "0,0.1"], "--deltas: delta must lie"),
+        (["sqfn-scaling", "--deltas", "0.1,nan"], "--deltas: delta must lie"),
+        (["sqfn-scaling", "--deltas", "0..0.1"], "usage:"),
+        (["lwp-probe", "--deltas", "0,0.1"], "--deltas: delta must lie"),
+        (["kernel-maximal-probe", "--deltas", "0.1,nan"],
+         "--deltas: delta must lie"),
+        (["overlap-count", "--deltas", "0,0.1,0.05"],
+         "--deltas: delta must lie"),
+        (["maximal-growth", "--lambda", "0"], "--lambda must be positive"),
+        (["maximal-growth", "--lambda", "-1"], "--lambda must be positive"),
+        (["br-mean", "--lambda", "nan"], "--lambda must be finite"),
+        (["mult-norm", "--alpha", "nan"], "--alpha must be finite"),
+        (["kernel-l1", "--k-min", "5", "--k-max", "2"],
+         "--k-min 5 exceeds --k-max 2"))])
+def test_bad_option_values_exit_3_before_any_work(tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("pair or family built for a rejected option")
+
+    monkeypatch.setattr(cli, "_build_pair", nothing_built)
+    monkeypatch.setattr(cli, "RectangleFamily", nothing_built)
+    out = tmp_path / "out"
+    code = _exit_code(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err
+    assert "configuration error: " in err or "usage:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# the twelve subcommands at small sizes; the two probes miss their
+# thresholds on the 64-point grid
+_SMALL_RUNS = [
+    (["decompose", "--delta", "0.0625"], 0),
+    (["tile", "--delta", "0.0625"], 0),
+    (["overlap-count", "--deltas", "2^-4,2^-5,2^-6"], 0),
+    (["active-time", "--delta", "0.0625"], 0),
+    (["kernel-l1", "--grid", "128,12", "--tail-tol", "1", "--k-max", "2"], 0),
+    (["sqfn-scaling", "--grid", "64,6"], 0),
+    (["glambda-probe", "--Ns", "32,64"], 0),
+    (["maximal-growth", "--Ns", "4,8"], 0),
+    (["kernel-maximal-probe", "--grid", "64,6"], 2),
+    (["lwp-probe", "--grid", "64,6"], 2),
+    (["mult-norm"], 0),
+    (["br-mean", "--grid", "64,6"], 0),
+]
+
+
+def _options_of(command, capsys):
+    """Long option names in the subcommand's --help text."""
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return set(re.findall(r"--([A-Za-z][\w-]*)", capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv, code, id=argv[0]) for argv, code in _SMALL_RUNS])
+def test_small_reruns_are_byte_identical_and_list_their_options(
+        tmp_path, capsys, argv, expected):
+    codes = [cli.main(argv + ["--out", str(tmp_path / out)])
+             for out in ("a", "b")]
+    assert codes == [expected, expected]
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    # both files are written, also before exit 2
+    assert (any(n.endswith(".csv") for n in names)
+            == (argv[0] not in ("decompose", "mult-norm")))
+    summary, = [n for n in names if n.endswith(".json")]
+    params = json.loads((tmp_path / "a" / summary).read_text())["manifest"][
+        "parameters"]
+    assert set(params) == _options_of(argv[0], capsys) - {"help", "config",
+                                                          "out"}
+
+
+_NUMBERS = st.sampled_from([0.0, -1.0, 1e-300, 0.5, 2.0, 10.0, 12.0, 1e300,
+                            1.7e308, float("nan"), float("inf")])
+_JUNK = st.sampled_from(["x", None, True, [], {}, [1.0]])
+_VALUE = st.one_of(_NUMBERS, st.floats(), _JUNK)
+_DOMAINS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("disk"), "radius": _VALUE}),
+    st.fixed_dictionaries({"type": st.just("superellipse"), "a": _VALUE,
+                           "b": _VALUE, "p": _VALUE}),
+    st.fixed_dictionaries({"type": st.just("polygon"), "vertices": st.one_of(
+        _JUNK, st.lists(st.lists(_VALUE, max_size=3), max_size=6))}),
+    st.fixed_dictionaries({"type": st.just("regular-polygon"),
+                           "k": st.sampled_from([6, 2, 0, 6.0, "6", None]),
+                           "circumradius": _VALUE, "phase": _VALUE}),
+    st.fixed_dictionaries({"type": st.sampled_from(["square", 3, None])}),
+    _JUNK)
+_MATRICES = st.one_of(
+    st.lists(st.lists(_VALUE, min_size=2, max_size=2), min_size=2,
+             max_size=2),
+    st.lists(st.lists(_VALUE, max_size=3), max_size=3), _JUNK)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=st.fixed_dictionaries({}, optional={
+    "domain": _DOMAINS, "A": _MATRICES, "rotation": _VALUE}))
+@example(cfg={"domain": {"type": "disk", "radius": 1.7e308}})
+@example(cfg={"domain": {"type": "superellipse", "a": 10.0, "b": 10.0,
+                         "p": 1e6}})
+def test_malformed_configs_never_raise(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["decompose", "--delta", "0.0625", "--config", str(path),
+                     "--out", str(tmp_path)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
