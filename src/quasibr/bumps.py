@@ -9,6 +9,9 @@ invariant data of the pair.  All four families are built from a single
 one-sided smooth step, so each family telescopes to exactly 1 and the
 total sum is identically 1 wherever the dyadic range covers rho.
 
+The tangential tau steps are held per arc, aligned with tiling.arcs, and
+lwp.tile_bump reads them for tile idx at arc idx // n_shells.
+
 Generation n of the partition sits at rho ~ ratio^m 2^n, while generation
 n of the tiling sits at ratio^m 4^n (the two agree at n = 0).  What applies
 sigma reads the 2^n shells: sigma itself, lwp.tile_bump, and
@@ -71,20 +74,17 @@ class BumpLibrary(object):
         self.cut_widths = 0.25 * np.minimum(widths, np.roll(widths, 1))
         self.mids = self.cuts + 0.5 * widths
         self.half_widths = 0.5 * widths
-        # per-sector retained intervals and tau step data, from the arcs
+        # tau step widths at each arc's two ends: 0.25 of the shorter arc
+        # sharing that end; at a sector's ends the step is the constant 1
+        # or 0 and the width is never read (NaN)
         arcs = tiling.arcs
-        self._js, self._tau_edges, self._tau_widths = [], [], []
-        for s in sectors:
-            sel = arcs.sector_idx == s.index
-            edges = np.unique(np.concatenate([arcs.tau_lo[sel], arcs.tau_hi[sel]]))
-            lengths = np.diff(edges)
-            w = np.empty(len(edges))
-            w[1:-1] = 0.25 * np.minimum(lengths[:-1], lengths[1:])
-            w[0] = 0.25 * lengths[0]
-            w[-1] = 0.25 * lengths[-1]
-            self._js.append(arcs.j_idx[sel])
-            self._tau_edges.append(edges)
-            self._tau_widths.append(w)
+        new = arcs.sector_idx[1:] != arcs.sector_idx[:-1]
+        self.arc_first, self.arc_last = np.r_[True, new], np.r_[new, True]
+        length = arcs.tau_hi - arcs.tau_lo
+        inner = np.where(new, np.nan,
+                         0.25 * np.minimum(length[:-1], length[1:]))
+        self.arc_width_lo = np.r_[np.nan, inner]
+        self.arc_width_hi = np.r_[inner, np.nan]
         # rho windows of the partition members per shell: generation n sits
         # at ratio^m 2^n (tiles sit at ratio^m 4^n), as in sigma below
         shells = tiling.shells
@@ -128,40 +128,34 @@ class BumpLibrary(object):
             out[near] = self._cut_step(i, sub) * (1.0 - self._cut_step(i + 1, sub))
         return out
 
-    def _tau_step(self, i, k, tau):
-        """Step rising across the k-th retained tau edge of sector i;
-        k = 0 and k = last are constant 1 and 0 (extended end plateaus)."""
-        edges = self._tau_edges[i]
-        tau = np.asarray(tau, dtype=float)
-        if k <= 0:
-            return np.ones_like(tau)
-        if k >= len(edges) - 1:
-            return np.zeros_like(tau)
-        w = self._tau_widths[i][k]
-        return smoothstep((tau - edges[k]) / w + 0.5)
-
-    def T(self, i, j, omega):
-        """Tangential factor of interval j in sector i, as a function of the
-        boundary angle (through the sector's graph coordinate)."""
-        tau = self.tiling.sectors[i].tau_of_omega(np.asarray(omega, dtype=float))
-        jj = self._local_index(i, j)
-        return self._tau_step(i, jj, tau) - self._tau_step(i, jj + 1, tau)
-
-    def _local_index(self, i, j):
-        """Position of global interval j among sector i's retained edges."""
-        js = self._js[i]
-        pos = np.searchsorted(js, j)
-        if pos >= len(js) or js[pos] != j:
+    def arc(self, i, j):
+        """Row of tiling.arcs holding interval j of sector i."""
+        arcs = self.tiling.arcs
+        hit = np.flatnonzero((arcs.sector_idx == i) & (arcs.j_idx == j))
+        if len(hit) == 0:
             raise ConfigError("interval %d not retained in sector %d" % (j, i))
-        return pos
+        return int(hit[0])
+
+    def T(self, k, tau):
+        """Tangential factor of arc k at the sector's graph coordinate tau:
+        the step rising across its lower tau end minus the one across its
+        upper end (constant 1 and 0 at the sector's ends)."""
+        tau = np.asarray(tau, dtype=float)
+        arcs = self.tiling.arcs
+        up = (np.ones_like(tau) if self.arc_first[k] else
+              smoothstep((tau - arcs.tau_lo[k]) / self.arc_width_lo[k] + 0.5))
+        down = (0.0 if self.arc_last[k] else
+                smoothstep((tau - arcs.tau_hi[k]) / self.arc_width_hi[k] + 0.5))
+        return up - down
 
     # -- the partition ---------------------------------------------------------
 
     def sigma(self, i, j, m, n, rho, omega):
         """sigma_{i,j,m,n} from precomputed (rho, omega) fields."""
+        k = self.arc(i, j)
         r = np.asarray(rho, dtype=float) * 2.0 ** (-n)
-        return (phi0(r) * self.psi(m, r)
-                * self.Psi(i, omega) * self.T(i, j, omega))
+        tau = self.tiling.sectors[i].tau_of_omega(omega)
+        return phi0(r) * self.psi(m, r) * self.Psi(i, omega) * self.T(k, tau)
 
     def sum_sigma(self, rho, omega):
         """Sum over every index of the partition (term-by-term in each
@@ -179,15 +173,17 @@ class BumpLibrary(object):
             for m in range(self.m_lo, self.m_hi + 1):
                 shell[active] += self.psi(m, ra)
             radial += p0 * shell
-        angular = np.zeros_like(np.asarray(omega, dtype=float))
-        for i in range(len(self.cuts)):
+        omega = np.asarray(omega, dtype=float)
+        angular = np.zeros_like(omega)
+        for i, sector in enumerate(self.tiling.sectors):
             w = self.Psi(i, omega)
             active = w > 0
             if not np.any(active):
                 continue
-            tang = np.zeros(int(np.sum(active)))
-            for j in self._js[i]:
-                tang += self.T(i, j, np.asarray(omega)[active])
+            tau = sector.tau_of_omega(omega[active])
+            tang = np.zeros(len(tau))
+            for k in np.flatnonzero(self.tiling.arcs.sector_idx == i):
+                tang += self.T(k, tau)
             angular[active] += w[active] * tang
         return radial * angular
 

@@ -40,6 +40,7 @@ from .tiling import Tiling, active_time_measure, count_sum_overlaps, \
     sector0_band
 
 _CONFIG_KEYS = ("A", "domain", "rotation")
+_FOCUS_GRID_MAX = 4096  # side of maximal-growth's largest focusing grid
 
 
 def _load_config(path):
@@ -346,10 +347,15 @@ def cmd_glambda_probe(args, cfg):
 def cmd_maximal_growth(args, cfg):
     if args.lam is not None:
         _positive(args.lam, "--lambda")
+    lams = [args.lam if args.lam is not None else 1.0 / Nd for Nd in args.Ns]
+    # the focusing grid has 2^ceil(log2(8 / lambda)) cells a side
+    if min(lams) < 8.0 / _FOCUS_GRID_MAX:
+        raise ConfigError("lambda = %g (--lambda, or 1/N) is below 2^-9: its "
+                          "focusing grid would exceed %d^2"
+                          % (min(lams), _FOCUS_GRID_MAX))
     group = DilationGroup(cfg["A"]) if "A" in cfg else None
     rows = []
-    for Nd in args.Ns:
-        lam = args.lam if args.lam is not None else 1.0 / Nd
+    for Nd, lam in zip(args.Ns, lams):
         h = lam / 4.0
         Ng = 1 << int(np.ceil(np.log2(2.0 / h)))
         fam = RectangleFamily(lam, Nd, group=group)

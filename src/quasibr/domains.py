@@ -133,21 +133,27 @@ class Superellipse(ConvexDomain):
         if self.p < 2:
             raise ConfigError("superellipse exponent must be >= 2 for smooth convexity")
 
-    def _g(self, theta):
-        return (np.abs(np.cos(theta) / self.a) ** self.p
-                + np.abs(np.sin(theta) / self.b) ** self.p)
+    def _scaled(self, theta):
+        """m = max(|cos/a|, |sin/b|) and the two terms divided by m, so the
+        sum of their p-th powers lies in [1, 2] for any p."""
+        c = np.abs(np.cos(theta)) / self.a
+        s = np.abs(np.sin(theta)) / self.b
+        m = np.maximum(c, s)
+        return m, c / m, s / m
 
     def radial(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return self._g(theta) ** (-1.0 / self.p)
+        m, u, v = self._scaled(theta)
+        return (u ** self.p + v ** self.p) ** (-1.0 / self.p) / m
 
     def radial_derivative(self, theta):
         theta = np.asarray(theta, dtype=float)
         c, s = np.cos(theta), np.sin(theta)
-        g = self._g(theta)
-        dg = (self.p * np.abs(c / self.a) ** (self.p - 1) * np.sign(c) * (-s / self.a)
-              + self.p * np.abs(s / self.b) ** (self.p - 1) * np.sign(s) * (c / self.b))
-        return -(1.0 / self.p) * g ** (-1.0 / self.p - 1.0) * dg
+        m, u, v = self._scaled(theta)
+        g = u ** self.p + v ** self.p
+        dg = (u ** (self.p - 1) * np.sign(c) * (-s / self.a)
+              + v ** (self.p - 1) * np.sign(s) * (c / self.b))
+        return -g ** (-1.0 / self.p - 1.0) * dg / m ** 2
 
 
 class Polygon(ConvexDomain):

@@ -50,8 +50,9 @@ def tile_bump(lib, idx, rho, omega):
     _radial_window.  Angular part: same construction in tau.
     """
     tiling = lib.tiling
-    i = int(tiling.sector_idx[idx])
-    j = int(tiling.j_idx[idx])
+    arcs = tiling.arcs
+    k = idx // tiling.n_shells
+    i = int(arcs.sector_idx[k])
     n = int(tiling.n_idx[idx])
 
     safe = np.where(rho > 0, rho, 1.0)
@@ -61,17 +62,13 @@ def tile_bump(lib, idx, rho, omega):
     rad = plateau((s - c) / (s_hi - s_lo))
     rad = np.where(rho > 0, rad, 0.0)
 
-    edges = lib._tau_edges[i]
-    widths = lib._tau_widths[i]
-    sec = tiling.sectors[i]
-    tau = np.where(rho > 0, sec.tau_of_omega(omega), 10.0)
-    jl = lib._local_index(i, j)
-    lo, hi = edges[jl], edges[jl + 1]
+    tau = np.where(rho > 0, tiling.sectors[i].tau_of_omega(omega), 10.0)
     # pad past the tau-step transitions; end steps own the sector margin
-    pad_lo = 0.4 if jl == 0 else (1.0 + _ANGULAR_PAD) * 0.5 * widths[jl]
-    pad_hi = (0.4 if jl + 2 == len(edges)
-              else (1.0 + _ANGULAR_PAD) * 0.5 * widths[jl + 1])
-    t_lo, t_hi = lo - pad_lo, hi + pad_hi
+    pad = (1.0 + _ANGULAR_PAD) * 0.5
+    t_lo = arcs.tau_lo[k] - (0.4 if lib.arc_first[k]
+                             else pad * lib.arc_width_lo[k])
+    t_hi = arcs.tau_hi[k] + (0.4 if lib.arc_last[k]
+                             else pad * lib.arc_width_hi[k])
     ct = 0.5 * (t_lo + t_hi)
     ang = plateau((tau - ct) / (t_hi - t_lo))
     # confine to the sector's neighborhood: tau_of_omega clamps outside the

@@ -6,7 +6,7 @@ from quasibr.bumps import (smoothstep, plateau, phi0, interval_bump,
                            BumpLibrary, full_annulus_symbol,
                            kernel_from_rho_symbol, kernel_annulus_l1,
                            symbol_to_kernel)
-from quasibr.errors import ResolutionError
+from quasibr.errors import ConfigError, ResolutionError
 from quasibr.quasinorm import rho_omega_grid
 from quasibr.tiling import Tiling
 
@@ -73,6 +73,19 @@ def test_sigma_supported_near_tile(disk_pair):
     rho = np.full(2, 0.5 * (tiling.rho_lo[k] + tiling.rho_hi[k]))
     omega = np.mod(omega + np.pi, 2 * np.pi) - np.pi
     assert np.all(lib.sigma(i, j, m, n, rho, omega + np.pi) == 0.0)
+
+
+def test_sigma_rejects_indices_naming_no_member(disk_pair):
+    tiling = Tiling(disk_pair, 2.0 ** -4)
+    lib = BumpLibrary(tiling)
+    arcs = tiling.arcs
+    n_sectors = len(tiling.sectors)
+    rho, omega = np.ones(3), np.linspace(-np.pi, np.pi, 3)
+    j_last = int(arcs.j_idx[-1])  # retained in the last sector
+    j0 = int(arcs.j_idx[arcs.sector_idx == 0].max()) + 1  # not in sector 0
+    for i, j in ((-1, j_last), (n_sectors, j_last), (0, j0)):
+        with pytest.raises(ConfigError):
+            lib.sigma(i, j, 0, 0, rho, omega)
 
 
 def test_kernel_parseval(disk_pair):

@@ -273,6 +273,8 @@ def _exit_code(argv):
          "--deltas: delta must lie"),
         (["maximal-growth", "--lambda", "0"], "--lambda must be positive"),
         (["maximal-growth", "--lambda", "-1"], "--lambda must be positive"),
+        (["maximal-growth", "--lambda", "1e-9"], "is below 2^-9"),
+        (["maximal-growth", "--Ns", "8,1000000000"], "is below 2^-9"),
         (["br-mean", "--lambda", "nan"], "--lambda must be finite"),
         (["mult-norm", "--alpha", "nan"], "--alpha must be finite"),
         (["kernel-l1", "--k-min", "5", "--k-max", "2"],

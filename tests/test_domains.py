@@ -48,6 +48,16 @@ def test_superellipse_radial_oracle():
     assert np.allclose(se.radial_derivative(th), fd, atol=1e-6)
 
 
+def test_superellipse_radial_finite_for_huge_exponent():
+    # p = 1e6 is a near-square of half-side 10: the p-th power sum would
+    # underflow to 0 unless the larger term is factored out first
+    se = Superellipse(10.0, 10.0, 1e6)
+    assert abs(se.max_radius() - 10.0 * np.sqrt(2.0)) < 1e-3
+    th = np.linspace(-np.pi, np.pi, 101)
+    assert np.all(np.isfinite(se.radial(th)))
+    assert np.all(np.isfinite(se.radial_derivative(th)))
+
+
 def test_polygon_radial_hits_edges():
     square = Polygon([[12, -12], [12, 12], [-12, 12], [-12, -12]])
     assert np.isclose(square.radial(0.0), 12.0)

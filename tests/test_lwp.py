@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quasibr.bumps import BumpLibrary
+from quasibr.domains import Disk, Superellipse, regular_polygon
+from quasibr.errors import IncompatiblePairError
 from quasibr.grid import GridField
 from quasibr.lwp import (tile_bump, tile_projection_square_function,
                          check_tile_bump_reproduction, dyadic_shell_bump,
                          dyadic_projection_square_function)
-from quasibr.quasinorm import rho_omega_grid
+from quasibr.quasinorm import check_compatibility, rho_omega_grid
 from quasibr.tiling import Tiling
+from test_quasinorm import _general_A
 
 
 def test_tile_bump_reproduces_sigma(disk_pair):
@@ -22,6 +26,49 @@ def test_tile_bump_reproduces_sigma_hexagon(hexagon_pair):
     tiling = Tiling(hexagon_pair, delta)
     lib = BumpLibrary(tiling)
     assert check_tile_bump_reproduction(hexagon_pair, lib, n_tiles=25) < 1e-14
+
+
+@st.composite
+def _compatible_pairs(draw):
+    """A disk, superellipse or regular polygon holding the ball of radius 8,
+    with A = a I or one of test_quasinorm's general matrices."""
+    shape = draw(st.sampled_from(["disk", "superellipse", "polygon"]))
+    if shape == "disk":
+        domain = Disk(draw(st.floats(8.5, 20.0)))
+    elif shape == "superellipse":
+        domain = Superellipse(draw(st.floats(8.5, 20.0)),
+                              draw(st.floats(8.5, 20.0)),
+                              draw(st.floats(2.0, 8.0)))
+    else:
+        k = draw(st.integers(3, 9))
+        domain = regular_polygon(
+            k, draw(st.floats(1.05, 2.0)) * 8.0 / np.cos(np.pi / k),
+            phase=draw(st.floats(-np.pi, np.pi)))
+    kind = draw(st.sampled_from(["scalar", "distinct-real", "jordan",
+                                 "complex-pair"]))
+    a = draw(st.floats(0.25, 4.0))
+    A = (a * np.eye(2) if kind == "scalar" else
+         _general_A(kind, a, draw(st.floats(0.1, 1.0)),
+                    draw(st.floats(0.0, 1.0))))
+    try:
+        return check_compatibility(domain, A)
+    except IncompatiblePairError:
+        assume(False)
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(pair=_compatible_pairs(), k=st.sampled_from([4, 5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_and_tile_bumps_on_random_pairs(pair, k, seed):
+    lib = BumpLibrary(Tiling(pair, 2.0 ** -k, n_range=(-1, 1)))
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(-np.pi, np.pi, 2000)
+    lev = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 2000))
+    pts = pair.group.apply(lev, pair.domain.boundary_point(ang))
+    rho = pair.rho(pts)
+    omega = pair.boundary_angle(pts, rho)
+    assert np.max(np.abs(lib.sum_sigma(rho, omega) - 1.0)) <= 1e-12
+    assert check_tile_bump_reproduction(pair, lib, n_tiles=10) < 1e-14
 
 
 def test_tile_bump_has_bounded_support(disk_pair):

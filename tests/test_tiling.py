@@ -25,6 +25,21 @@ def test_sector_walk_closes(all_pairs):
                               0.0, atol=1e-9), name
 
 
+@pytest.mark.parametrize("delta", [2.0 ** -4, 2.0 ** -5])
+def test_arcs_tile_each_sector_in_order(all_pairs, delta):
+    # the layout BumpLibrary's per-arc tau steps rely on: sectors ascending,
+    # each sector's intervals contiguous in j, neighbours sharing a tau end
+    for name, pair in all_pairs:
+        arcs = Tiling(pair, delta).arcs
+        sec, j = arcs.sector_idx, arcs.j_idx
+        assert np.array_equal(np.unique(sec), np.arange(sec.max() + 1)), name
+        assert np.all(np.diff(sec) >= 0), name
+        same = sec[1:] == sec[:-1]
+        assert np.all(j[1:][same] == j[:-1][same] + 1), name
+        assert np.array_equal(arcs.tau_hi[:-1][same],
+                              arcs.tau_lo[1:][same]), name
+
+
 def test_sector_tau_normalization(disk_pair):
     # the rotated frame puts the sector's start at graph coordinate -1/2
     for s in build_sectors(disk_pair)[:5]:
