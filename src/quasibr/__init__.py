@@ -13,13 +13,13 @@ from .caps import CapDecomposition, cap_decomposition, refine_intervals, \
     decompose, check_invariants
 from .tiling import Sector, Tiling, build_sectors, count_sum_overlaps, \
     count_ball_sum_overlaps, active_time_measure
-from .bumps import smoothstep, plateau, phi0, BumpLibrary, Kernel, \
-    full_annulus_symbol, symbol_to_kernel, kernel_build, \
-    kernel_from_rho_symbol, kernel_annulus_l1
+from .bumps import smoothstep, plateau, phi0, BumpLibrary, \
+    full_annulus_symbol
 from .grid import (GridField, bochner_riesz_mean, dyadic_decompose_br,
                    square_function_annulus, square_function_glambda,
                    standard_family, delta_scaling_experiment,
-                   hormander_sobolev_norm)
+                   hormander_sobolev_norm, symbol_to_kernel, kernel_build,
+                   kernel_from_rho_symbol, kernel_annulus_l1)
 from .maximal import RectangleFamily, nikodym_maximal, kernel_maximal, \
     weak11_probe
 from .lwp import tile_projection_square_function, \

@@ -1,4 +1,4 @@
-"""Smooth partition of unity sigma_{i,j,m,n} and the tile kernels.
+"""Smooth partition of unity sigma_{i,j,m,n}.
 
 Every sigma factorizes as
 
@@ -9,8 +9,9 @@ invariant data of the pair.  All four families are built from a single
 one-sided smooth step, so each family telescopes to exactly 1 and the
 total sum is identically 1 wherever the dyadic range covers rho.
 
-The tangential tau steps are held per arc, aligned with tiling.arcs, and
-lwp.tile_bump reads them for tile idx at arc idx // n_shells.
+Members are named by tile index (see Tiling.index); sigma and
+lwp.tile_bump read the tau steps, held per arc aligned with tiling.arcs, at
+arc idx // n_shells.  The kernels F^-1 sigma are grid fields (see grid).
 
 Generation n of the partition sits at rho ~ ratio^m 2^n, while generation
 n of the tiling sits at ratio^m 4^n (the two agree at n = 0).  What applies
@@ -21,10 +22,8 @@ tiling's own 4^n windows.
 """
 
 import numpy as np
-import scipy.fft
 
-from .errors import ConfigError, ResolutionError
-from .quasinorm import rho_omega_grid
+from .errors import ConfigError
 from .tiling import _wrap
 
 
@@ -128,14 +127,6 @@ class BumpLibrary(object):
             out[near] = self._cut_step(i, sub) * (1.0 - self._cut_step(i + 1, sub))
         return out
 
-    def arc(self, i, j):
-        """Row of tiling.arcs holding interval j of sector i."""
-        arcs = self.tiling.arcs
-        hit = np.flatnonzero((arcs.sector_idx == i) & (arcs.j_idx == j))
-        if len(hit) == 0:
-            raise ConfigError("interval %d not retained in sector %d" % (j, i))
-        return int(hit[0])
-
     def T(self, k, tau):
         """Tangential factor of arc k at the sector's graph coordinate tau:
         the step rising across its lower tau end minus the one across its
@@ -150,12 +141,16 @@ class BumpLibrary(object):
 
     # -- the partition ---------------------------------------------------------
 
-    def sigma(self, i, j, m, n, rho, omega):
-        """sigma_{i,j,m,n} from precomputed (rho, omega) fields."""
-        k = self.arc(i, j)
-        r = np.asarray(rho, dtype=float) * 2.0 ** (-n)
-        tau = self.tiling.sectors[i].tau_of_omega(omega)
-        return phi0(r) * self.psi(m, r) * self.Psi(i, omega) * self.T(k, tau)
+    def sigma(self, idx, rho, omega):
+        """Member sigma_{i,j,m,n} of tile idx from precomputed (rho, omega)
+        fields."""
+        tiling = self.tiling
+        k = idx // tiling.n_shells
+        i = int(tiling.arcs.sector_idx[k])
+        r = np.asarray(rho, dtype=float) * 2.0 ** (-int(tiling.n_idx[idx]))
+        tau = tiling.sectors[i].tau_of_omega(omega)
+        return (phi0(r) * self.psi(int(tiling.m_idx[idx]), r)
+                * self.Psi(i, omega) * self.T(k, tau))
 
     def sum_sigma(self, rho, omega):
         """Sum over every index of the partition (term-by-term in each
@@ -204,82 +199,3 @@ def full_annulus_symbol(l):
                              0.5, 2.0)
     return h
 
-
-# -- kernels ------------------------------------------------------------------
-
-class Kernel(object):
-    """Physical-space samples of F[sigma] on an N x N grid of half-width L.
-
-    Continuum normalization K(x) = (2 pi)^-2 integral sigma e^{i x xi} dxi,
-    so Plancherel reads ||K||_2 = (2 pi)^-1 ||sigma||_2.
-    """
-
-    def __init__(self, values, N, L):
-        self.values = values
-        self.N = int(N)
-        self.L = float(L)
-        self.h = 2.0 * L / N
-        self.x = self.h * np.arange(-N // 2, N // 2)
-
-    def l1(self):
-        return float(np.sum(np.abs(self.values)) * self.h ** 2)
-
-    def l2(self):
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.h ** 2))
-
-    def radius_field(self):
-        X1, X2 = np.meshgrid(self.x, self.x, indexing="ij")
-        return np.hypot(X1, X2)
-
-
-def symbol_to_kernel(symbol_values, N, L, tail_tol=1e-4):
-    """Inverse transform of frequency samples with continuum weights.
-
-    Raises ResolutionError when the outer 10 percent frame of the window
-    carries more than tail_tol of the kernel's L1 mass.
-    """
-    dxi = np.pi / L
-    spec = scipy.fft.ifft2(scipy.fft.ifftshift(symbol_values))
-    vals = scipy.fft.fftshift(spec) * (N * dxi / (2.0 * np.pi)) ** 2
-    ker = Kernel(vals, N, L)
-    a = np.abs(vals)
-    total = float(np.sum(a))
-    if total > 0:
-        r = np.maximum(np.abs(ker.x)[:, None], np.abs(ker.x)[None, :])
-        tail = float(np.sum(a[r > 0.9 * L]))
-        if tail > tail_tol * total:
-            raise ResolutionError(
-                "kernel tail mass %.2e of total; enlarge the window L=%g"
-                % (tail / total, L))
-    return ker
-
-
-def kernel_build(lib, pair, indices, grid_spec, tail_tol=1e-4):
-    """Build K_{i,j,m,n} = F[sigma_{i,j,m,n}] on the (N, L) grid."""
-    N, L = grid_spec
-    rho, omega = rho_omega_grid(pair, N, L)
-    i, j, m, n = indices
-    sym = lib.sigma(i, j, m, n, rho, omega)
-    return symbol_to_kernel(sym, N, L, tail_tol=tail_tol)
-
-
-def kernel_from_rho_symbol(pair, symbol, grid_spec, tail_tol=1e-4):
-    """Kernel of a purely quasiradial symbol rho -> symbol(rho)."""
-    N, L = grid_spec
-    rho, _ = rho_omega_grid(pair, N, L)
-    return symbol_to_kernel(symbol(rho), N, L, tail_tol=tail_tol)
-
-
-def kernel_annulus_l1(kernel, k, unit=1.0):
-    """Integral of |K| over the annulus 2^k <= |x|/unit < 2^{k+1}.
-
-    unit rescales lengths to the dual of the frequency scale: for a domain
-    whose boundary sits at |xi| ~ R, unit = 1/R puts the table in the
-    normalization where rho ~ |xi|.
-    """
-    if 2.0 ** (k + 1) * unit > kernel.L * np.sqrt(2.0) + 1e-9:
-        raise ResolutionError(
-            "annulus 2^%d exceeds the grid window L = %g" % (k + 1, kernel.L))
-    r = kernel.radius_field() / unit
-    mask = (r >= 2.0 ** k) & (r < 2.0 ** (k + 1))
-    return float(np.sum(np.abs(kernel.values)[mask]) * kernel.h ** 2)

@@ -23,15 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bumps import BumpLibrary, full_annulus_symbol, kernel_annulus_l1, \
-    kernel_build, kernel_from_rho_symbol, plateau
+from .bumps import BumpLibrary, full_annulus_symbol, plateau
 from .caps import DELTA_MAX, decompose
 from .dilation import DilationGroup
 from .domains import _finite, _positive, boundary_arc, domain_from_config
 from .errors import ConfigError, GeometryError, ResolutionError, \
     ThresholdFailure
 from .grid import GridField, bochner_riesz_mean, delta_scaling_experiment, \
-    hormander_sobolev_norm, square_function_glambda, standard_family
+    hormander_sobolev_norm, kernel_annulus_l1, kernel_build, \
+    kernel_from_rho_symbol, square_function_glambda, standard_family
 from .lwp import tile_projection_square_function
 from .maximal import RectangleFamily, focusing_function, kernel_maximal, \
     nikodym_maximal
@@ -40,7 +40,7 @@ from .tiling import Tiling, active_time_measure, count_sum_overlaps, \
     sector0_band
 
 _CONFIG_KEYS = ("A", "domain", "rotation")
-_FOCUS_GRID_MAX = 4096  # side of maximal-growth's largest focusing grid
+_GRID_MAX = 4096  # largest side of --grid, --Ns grids and focusing grids
 
 
 def _load_config(path):
@@ -96,15 +96,16 @@ def _parse_deltas(text):
 
 
 def _parse_grid(text):
-    """'N,L': N an even integer >= 2 (the FFT layout of frequency_grid needs
-    N even), L finite and positive."""
+    """'N,L': N an even integer in [2, _GRID_MAX] (the FFT layout of
+    frequency_grid needs N even), L finite and positive."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("grid must be 'N,L', got %r" % text)
     N, L = int(parts[0]), float(parts[1])
-    if N < 2 or N % 2:
+    if not 2 <= N <= _GRID_MAX or N % 2:
         raise argparse.ArgumentTypeError(
-            "grid N must be an even integer >= 2, got %d" % N)
+            "grid N must be an even integer in [2, %d], got %d"
+            % (_GRID_MAX, N))
     if not (np.isfinite(L) and L > 0):
         raise argparse.ArgumentTypeError(
             "grid L must be finite and positive, got %r" % L)
@@ -283,14 +284,8 @@ def cmd_kernel_l1(args, cfg):
                           % (args.k_min, args.k_max))
     pair = _build_pair(cfg)
     if args.indices is not None:
-        i, j, m, n = args.indices
         tiling = Tiling(pair, args.delta)
-        arcs, shells = tiling.arcs, tiling.shells
-        if not (np.any((arcs.sector_idx == i) & (arcs.j_idx == j))
-                and np.any((shells.m_idx == m) & (shells.n_idx == n))):
-            raise ConfigError("indices %d,%d,%d,%d name no tile of the "
-                              "tiling" % args.indices)
-        kern = kernel_build(BumpLibrary(tiling), pair, args.indices,
+        kern = kernel_build(BumpLibrary(tiling), tiling.index(*args.indices),
                             args.grid, tail_tol=args.tail_tol)
     else:
         kern = kernel_from_rho_symbol(pair, full_annulus_symbol(args.l),
@@ -298,8 +293,8 @@ def cmd_kernel_l1(args, cfg):
     unit = 1.0 / pair.domain.max_radius()
     rows = [(k, kernel_annulus_l1(kern, k, unit=unit))
             for k in range(args.k_min, args.k_max + 1)]
-    return _Study({"delta": args.delta, "l1": kern.l1(), "l2": kern.l2()},
-                  ["k", "value"], rows)
+    return _Study({"delta": args.delta, "l1": kern.norm(1),
+                   "l2": kern.norm(2)}, ["k", "value"], rows)
 
 
 @_command("sqfn-scaling", "square function delta scaling",
@@ -321,6 +316,9 @@ def cmd_sqfn_scaling(args, cfg):
           ("glambda.csv", "glambda.json"), "lam Ns L_per_N delta nt",
           scales=("Ns", 2), lam=0.0, Ns=[128, 256])
 def cmd_glambda_probe(args, cfg):
+    if max(args.Ns) > _GRID_MAX:
+        raise ConfigError("--Ns: grid size %d exceeds %d"
+                          % (max(args.Ns), _GRID_MAX))
     pair = _build_pair(cfg)
     rows = []
     for N in args.Ns:
@@ -349,10 +347,10 @@ def cmd_maximal_growth(args, cfg):
         _positive(args.lam, "--lambda")
     lams = [args.lam if args.lam is not None else 1.0 / Nd for Nd in args.Ns]
     # the focusing grid has 2^ceil(log2(8 / lambda)) cells a side
-    if min(lams) < 8.0 / _FOCUS_GRID_MAX:
+    if min(lams) < 8.0 / _GRID_MAX:
         raise ConfigError("lambda = %g (--lambda, or 1/N) is below 2^-9: its "
                           "focusing grid would exceed %d^2"
-                          % (min(lams), _FOCUS_GRID_MAX))
+                          % (min(lams), _GRID_MAX))
     group = DilationGroup(cfg["A"]) if "A" in cfg else None
     rows = []
     for Nd, lam in zip(args.Ns, lams):

@@ -38,6 +38,15 @@ def _positive(value, what):
     return value
 
 
+def _increasing_run(x, center):
+    """(lo, hi): the maximal index range lo <= center <= hi on which x
+    strictly increases."""
+    down = np.flatnonzero(np.diff(x) <= 0)
+    k = np.searchsorted(down, center)
+    return (down[k - 1] + 1 if k > 0 else 0,
+            down[k] if k < len(down) else len(x) - 1)
+
+
 def _rot(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -392,13 +401,14 @@ class BoundaryArc(object):
         x2 = r * np.sin(ang)
         d1 = dr * np.cos(ang) - r * np.sin(ang)
         d2 = dr * np.sin(ang) + r * np.cos(ang)
-        if np.any(np.diff(x1) <= 0):
-            raise GeometryError("lower boundary is not a graph over [-1, 1]")
-        if x1[0] > self.T_LO - 0.2 or x1[-1] < self.T_HI + 0.2:
+        # past a vertical tangent the window turns back: keep the graph
+        # piece through the sample straight below the origin
+        lo, hi = _increasing_run(x1, len(psi) // 2)
+        if x1[lo] > self.T_LO - 0.2 or x1[hi] < self.T_HI + 0.2:
             raise GeometryError("boundary sample window too narrow")
-        self._xs = x1
-        self._us = x2
-        self._slope_table = d2 / d1
+        self._xs = x1[lo:hi + 1]
+        self._us = x2[lo:hi + 1]
+        self._slope_table = (d2 / d1)[lo:hi + 1]
 
     # -- evaluation --------------------------------------------------------
 

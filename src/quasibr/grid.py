@@ -3,13 +3,14 @@
 Physical samples live at (2L/N) {-N/2, ..., N/2 - 1}^2 and frequency
 samples at (pi/L) {-N/2, ..., N/2 - 1}^2, with continuum-normalized
 transforms, so Parseval and multiplier algebra hold exactly on the grid.
+A kernel K = F^-1 sigma is the physical GridField of a symbol's samples.
 """
 
 import numpy as np
 import scipy.fft
 
 from .bumps import annulus_cutoff, interval_bump, plateau
-from .errors import ConfigError
+from .errors import ConfigError, ResolutionError
 from .quasinorm import rho_omega_grid
 
 
@@ -99,6 +100,59 @@ def dyadic_decompose_br(pair, lam, delta_min):
                 _m(rho) * (_g(_k, rho) - _g(_k + 1, rho)))
     symbols.append(lambda rho, _m=m, _g=g, _K=K: _m(rho) * _g(_K, rho))
     return symbols
+
+
+# -- kernels ------------------------------------------------------------------
+
+def symbol_to_kernel(symbol_values, N, L, tail_tol=1e-4):
+    """K = F^-1 of frequency samples as a physical GridField (continuum
+    normalization, so Plancherel reads ||K||_2 = (2 pi)^-1 ||sigma||_2).
+
+    Raises ResolutionError when the outer 10 percent frame of the window
+    carries more than tail_tol of the kernel's L1 mass.
+    """
+    ker = GridField(N, L, symbol_values, "frequency").to_physical()
+    a = np.abs(ker.values)
+    total = float(np.sum(a))
+    if total > 0:
+        x = np.abs(ker.h * np.arange(-N // 2, N // 2))
+        tail = float(np.sum(a[np.maximum(x[:, None], x[None, :]) > 0.9 * L]))
+        if tail > tail_tol * total:
+            raise ResolutionError(
+                "kernel tail mass %.2e of total; enlarge the window L=%g"
+                % (tail / total, L))
+    return ker
+
+
+def kernel_build(lib, idx, grid_spec, tail_tol=1e-4):
+    """K_{i,j,m,n} = F^-1 sigma_{i,j,m,n} of tile idx on the (N, L) grid."""
+    N, L = grid_spec
+    rho, omega = rho_omega_grid(lib.tiling.pair, N, L)
+    return symbol_to_kernel(lib.sigma(idx, rho, omega), N, L,
+                            tail_tol=tail_tol)
+
+
+def kernel_from_rho_symbol(pair, symbol, grid_spec, tail_tol=1e-4):
+    """Kernel of a purely quasiradial symbol rho -> symbol(rho)."""
+    N, L = grid_spec
+    rho, _ = rho_omega_grid(pair, N, L)
+    return symbol_to_kernel(symbol(rho), N, L, tail_tol=tail_tol)
+
+
+def kernel_annulus_l1(kernel, k, unit=1.0):
+    """Integral of |K| over the annulus 2^k <= |x|/unit < 2^{k+1}.
+
+    unit rescales lengths to the dual of the frequency scale: for a domain
+    whose boundary sits at |xi| ~ R, unit = 1/R puts the table in the
+    normalization where rho ~ |xi|.
+    """
+    if 2.0 ** (k + 1) * unit > kernel.L * np.sqrt(2.0) + 1e-9:
+        raise ResolutionError(
+            "annulus 2^%d exceeds the grid window L = %g" % (k + 1, kernel.L))
+    x = kernel.h * np.arange(-kernel.N // 2, kernel.N // 2)
+    r = np.hypot(x[:, None], x[None, :]) / unit
+    mask = (r >= 2.0 ** k) & (r < 2.0 ** (k + 1))
+    return float(np.sum(np.abs(kernel.values)[mask]) * kernel.h ** 2)
 
 
 # -- square functions ---------------------------------------------------------

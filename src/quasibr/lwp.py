@@ -109,7 +109,7 @@ def tile_projection_square_function(pair, delta, f, lib):
     return out
 
 
-def check_tile_bump_reproduction(pair, lib, n_tiles=40):
+def check_tile_bump_reproduction(lib, n_tiles=40):
     """Max over seeded sampled tiles of |phi * sigma - sigma| on each
     tile's point cloud and a jittered copy of it."""
     tiling = lib.tiling
@@ -121,13 +121,9 @@ def check_tile_bump_reproduction(pair, lib, n_tiles=40):
     for idx, pts in zip(idxs, clouds):
         jitter = rng.normal(scale=0.01, size=pts.shape)
         pts = np.vstack([pts, pts + jitter])
-        rho = pair.rho(pts)
-        omega = pair.boundary_angle(pts, rho)
-        i = int(tiling.sector_idx[idx])
-        j = int(tiling.j_idx[idx])
-        m = int(tiling.m_idx[idx])
-        n = int(tiling.n_idx[idx])
-        sig = lib.sigma(i, j, m, n, rho, omega)
+        rho = tiling.pair.rho(pts)
+        omega = tiling.pair.boundary_angle(pts, rho)
+        sig = lib.sigma(idx, rho, omega)
         bump = tile_bump(lib, int(idx), rho, omega)
         worst = max(worst, float(np.max(np.abs(bump * sig - sig))))
     return worst

@@ -223,9 +223,7 @@ def kernel_maximal(pair, delta, f, lib):
 
     def pieces():
         for idx in np.flatnonzero(screen):
-            i, j = int(tiling.sector_idx[idx]), int(tiling.j_idx[idx])
-            m, n = int(tiling.m_idx[idx]), int(tiling.n_idx[idx])
-            sym = lib.sigma(i, j, m, n, bank.rho, bank.omega)
+            sym = lib.sigma(idx, bank.rho, bank.omega)
             cells = np.flatnonzero(sym)
             if cells.size == 0:
                 continue

@@ -10,10 +10,11 @@ angle of the orbit projection onto the boundary.
 
 The family is a product: an arc is one (sector i, interval I_j) with its
 tau and omega windows, a shell one (m, n) with its rho window, and tile k
-is arc k // n_shells times shell k % n_shells.  Tile generation n sits at
-rho ~ ratio^m 4^n (dilates by (2^{2n})^A), which membership, multiplicity
-and the overlap counters read; the partition sigma_{i,j,m,n} and what
-applies it sit at ratio^m 2^n (see bumps).  The two agree at n = 0.
+is arc k // n_shells times shell k % n_shells; Tiling.index finds k from
+(i, j, m, n).  Tile generation n sits at rho ~ ratio^m 4^n (dilates by
+(2^{2n})^A), which membership, multiplicity and the overlap counters read;
+the partition sigma_{i,j,m,n} and what applies it sit at ratio^m 2^n (see
+bumps).  The two agree at n = 0.
 """
 
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .caps import DELTA_MAX, decompose
-from .domains import boundary_arc
+from .domains import _increasing_run, boundary_arc
 from .errors import ConfigError, GeometryError
 
 TAU_WINDOW = 0.5  # sector half-width in the rotated graph coordinate
@@ -61,12 +62,9 @@ class Sector(object):
         """Inverse of tau_of_omega on the graph window (monotone there)."""
         grid = np.linspace(self.omega_start - 0.45, self.omega_end + 0.45, 4001)
         tg = self.tau_of_omega(grid)
-        if np.any(np.diff(tg) <= 0):
-            # keep the maximal monotone piece around the sector window
-            good = np.flatnonzero(np.diff(tg) > 0)
-            lo, hi = good.min(), good.max() + 1
-            grid, tg = grid[lo:hi + 1], tg[lo:hi + 1]
-        return np.interp(tau, tg, grid)
+        # the maximal monotone piece through the window's centre
+        lo, hi = _increasing_run(tg, len(grid) // 2)
+        return np.interp(tau, tg[lo:hi + 1], grid[lo:hi + 1])
 
 
 def build_sectors(pair):
@@ -170,6 +168,17 @@ class Tiling(object):
         for f in SHELL_FIELDS:
             setattr(self, f, np.tile(getattr(self.shells, f), n_arcs))
         self.size = n_arcs * self.n_shells
+
+    def index(self, i, j, m, n):
+        """Tile index of B_{i,j,m,n} (sector i, interval j, shell m, n)."""
+        arc = np.flatnonzero((self.arcs.sector_idx == i)
+                             & (self.arcs.j_idx == j))
+        shell = np.flatnonzero((self.shells.m_idx == m)
+                               & (self.shells.n_idx == n))
+        if len(arc) == 0 or len(shell) == 0:
+            raise ConfigError("indices %d,%d,%d,%d name no tile of the tiling"
+                              % (i, j, m, n))
+        return int(arc[0]) * self.n_shells + int(shell[0])
 
     def samples(self, idx, n_omega):
         """Point clouds covering the tiles of idx: shape (len(idx),

@@ -2,20 +2,30 @@
 
 Each test exercises one headline property of the laboratory at desk scale,
 prints a single [PASS]/[FAIL] line on the real stdout (past pytest capture),
-and enforces the stated tolerance and runtime budget.
+and enforces the stated tolerance and runtime budget.  It also hands its
+measured values to `report` at full precision, which checks each against
+its rule in acceptance_record.json: {"exact": v} for counts,
+{"value": v, "rel": r} for slopes, exponents, ratios and constants, and
+{"at_most": b} for values that are rounding noise themselves.  Criterion
+7's quad change, a difference of two ratios near 1e-6 of their size, gets
+rel 1e-6: it amplifies their rounding a million-fold.  A change that moves
+a value on purpose updates the record in the same commit.
 """
+import json
+import os
 import time
 
 import numpy as np
 import pytest
 
-from quasibr.bumps import (BumpLibrary, full_annulus_symbol, kernel_build,
-                           kernel_from_rho_symbol, kernel_annulus_l1, plateau)
+from quasibr.bumps import BumpLibrary, full_annulus_symbol, plateau
 from quasibr.caps import decompose, check_invariants
 from quasibr.domains import boundary_arc
 from quasibr.grid import (GridField, active_t_grid, delta_scaling_experiment,
-                          hormander_sobolev_norm, square_function_annulus,
-                          square_function_glambda, standard_family)
+                          hormander_sobolev_norm, kernel_annulus_l1,
+                          kernel_build, kernel_from_rho_symbol,
+                          square_function_annulus, square_function_glambda,
+                          standard_family)
 from quasibr.lwp import (dyadic_projection_square_function,
                          tile_projection_square_function)
 from quasibr.maximal import (RectangleFamily, _coverage, _shifted,
@@ -28,10 +38,28 @@ from quasibr.tiling import (Tiling, active_time_measure,
                             sector0_band)
 
 
+_RECORD = os.path.join(os.path.dirname(__file__), "acceptance_record.json")
+
+
+@pytest.fixture(scope="session")
+def record():
+    with open(_RECORD) as fh:
+        return json.load(fh)
+
+
+def _holds(rule, value):
+    if "exact" in rule:
+        return value == rule["exact"]
+    if "at_most" in rule:
+        return value <= rule["at_most"]
+    return bool(np.allclose(value, rule["value"], rtol=rule["rel"], atol=0.0))
+
+
 @pytest.fixture
-def report(capfd):
-    """One pass/fail line per criterion, printed past pytest's capture."""
-    def _report(num, label, ok, detail, t0, budget):
+def report(capfd, record):
+    """One pass/fail line per criterion, printed past pytest's capture, then
+    each measured value checked against its recorded rule."""
+    def _report(num, label, ok, detail, t0, budget, values):
         elapsed = time.time() - t0
         line = "[%s] criterion %2d: %s (%s; %.1fs / budget %ds)" % (
             "PASS" if ok and elapsed < budget else "FAIL",
@@ -40,6 +68,11 @@ def report(capfd):
             print(line, flush=True)
         assert ok, line
         assert elapsed < budget, line
+        rules = record[str(num)]
+        assert sorted(values) == sorted(rules), (num, sorted(values))
+        broken = {name: (value, rules[name]) for name, value in values.items()
+                  if not _holds(rules[name], value)}
+        assert not broken, "criterion %d breaks its record: %r" % (num, broken)
     return _report
 
 
@@ -56,13 +89,14 @@ def test_criterion_01_quasinorm_homogeneity(all_pairs, report):
         err = np.abs(rt - t * r) / np.maximum(1.0, t * r)
         worst = max(worst, float(err.max()))
     report(1, "quasinorm homogeneity", worst <= 1e-8,
-            "max err %.2e" % worst, t0, 10)
+            "max err %.2e" % worst, t0, 10, {"max_err": worst})
 
 
 def test_criterion_02_cap_decomposition(all_pairs, report):
     t0 = time.time()
     ok = True
     detail = []
+    values = {}
     for name, pair in all_pairs:
         arc = boundary_arc(pair.domain, 0.0)
         qs = []
@@ -71,14 +105,17 @@ def test_criterion_02_cap_decomposition(all_pairs, report):
             inv = check_invariants(arc, d)
             ok &= inv["left"] <= 1e-10 and inv["right"] <= 1e-10
             qs.append(d.Q)
+        values["Q " + name] = qs
         if name.startswith("disk"):
             v = [q * np.sqrt(2.0 ** -k) for q, k in zip(qs, range(4, 11))]
             ok &= max(v) / min(v) <= 4.0
+            values["Qsqrt ratio " + name] = max(v) / min(v)
             detail.append("%s Qsqrt ratio %.2f" % (name, max(v) / min(v)))
         if name == "hexagon":
             ok &= len(set(qs)) == 1
             detail.append("hexagon Q=%d const" % qs[0])
-    report(2, "cap decomposition invariants", ok, "; ".join(detail), t0, 30)
+    report(2, "cap decomposition invariants", ok, "; ".join(detail), t0, 30,
+           values)
 
 
 def test_criterion_03_partition_of_unity(all_pairs, report):
@@ -97,7 +134,7 @@ def test_criterion_03_partition_of_unity(all_pairs, report):
             dev = float(np.max(np.abs(lib.sum_sigma(rho, omega) - 1.0)))
             worst = max(worst, dev)
     report(3, "partition of unity", worst <= 1e-6,
-            "max |sum - 1| %.2e" % worst, t0, 120)
+            "max |sum - 1| %.2e" % worst, t0, 120, {"max_dev": worst})
 
 
 def test_criterion_04_tile_overlaps(disk_pair, report):
@@ -128,7 +165,9 @@ def test_criterion_04_tile_overlaps(disk_pair, report):
     ok &= max(balls) <= 8
     report(4, "tile overlap multiplicities", ok,
             "plain %s, sum fit b=%.2f resid %.0f%%, ball %s" % (
-                plain, coef[1], 100 * resid, balls), t0, 600)
+                plain, coef[1], 100 * resid, balls), t0, 600,
+           {"plain": plain, "sum counts": ms, "sum fit b": float(coef[1]),
+            "sum fit resid": resid, "ball": balls})
 
 
 def test_criterion_05_active_time_measure(disk_pair, report):
@@ -143,7 +182,8 @@ def test_criterion_05_active_time_measure(disk_pair, report):
         vals.append(m / d)
     spread = max(vals) / min(vals)
     report(5, "active-time measure ~ delta", spread <= 2.0,
-            "measure/delta in [%.2f, %.2f]" % (min(vals), max(vals)), t0, 60)
+            "measure/delta in [%.2f, %.2f]" % (min(vals), max(vals)), t0, 60,
+           {"min": min(vals), "max": max(vals)})
 
 
 def test_criterion_06_kernel_annulus_l1(disk_pair, report):
@@ -172,13 +212,13 @@ def test_criterion_06_kernel_annulus_l1(disk_pair, report):
         sel = np.nonzero((tiling.m_idx == 0) & (tiling.n_idx == 0))[0]
         widths = tiling.tau_hi[sel] - tiling.tau_lo[sel]
         idx = int(sel[np.argmax(widths)])
-        indices = (int(tiling.sector_idx[idx]), int(tiling.j_idx[idx]), 0, 0)
-        kern_t = kernel_build(lib, disk_pair, indices, (N, L), tail_tol=0.05)
-        cs.append(kern_t.l1() / np.log(1.0 / d))
+        kern_t = kernel_build(lib, idx, (N, L), tail_tol=0.05)
+        cs.append(kern_t.norm(1) / np.log(1.0 / d))
     ok &= max(cs) / min(cs) <= 2.0
     report(6, "kernel L1 annulus envelopes", ok,
            "peak k=%d, C=%s" % (peak, [round(float(c), 2) for c in cs]),
-           t0, 300)
+           t0, 300, {"annulus l1": [v[k] for k in range(1, 11)], "peak k": peak,
+                     "C": [float(c) for c in cs]})
 
 
 def test_criterion_07_delta_scaling(disk_pair, disk_aniso_pair, report):
@@ -201,7 +241,8 @@ def test_criterion_07_delta_scaling(disk_pair, disk_aniso_pair, report):
     ok &= quad < 0.005
     report(7, "square-function delta scaling", ok,
             "slopes %s, quad change %.3f%%" % (
-                [round(s, 3) for s in slopes], 100 * quad), t0, 1800)
+                [round(s, 3) for s in slopes], 100 * quad), t0, 1800,
+           {"slopes": [float(s) for s in slopes], "quad change": quad})
 
 
 def test_criterion_08_glambda_stability(disk_pair, report):
@@ -236,7 +277,8 @@ def test_criterion_08_glambda_stability(disk_pair, report):
     ok &= growth >= 2.0
     report(8, "G^lambda refinement stability", ok,
             "spreads %s, control growth %.1fx" % (
-                [round(s, 4) for s in spreads], growth), t0, 1200)
+                [round(s, 4) for s in spreads], growth), t0, 1200,
+           {"spreads": spreads, "control growth": growth})
 
 
 def test_criterion_09_nikodym_growth(report):
@@ -290,7 +332,8 @@ def test_criterion_09_nikodym_growth(report):
     wk = max(r["ratio"] for r in rows)
     ok &= wk <= 1.0
     report(9, "Nikodym maximal growth", ok,
-            "exponent %.3f, weak11 max ratio %.2f" % (expo, wk), t0, 900)
+            "exponent %.3f, weak11 max ratio %.2f" % (expo, wk), t0, 900,
+           {"exponent": expo, "weak11 max ratio": wk})
 
 
 def test_criterion_10_kernel_maximal(disk_pair, report):
@@ -312,7 +355,8 @@ def test_criterion_10_kernel_maximal(disk_pair, report):
     x = np.log([1.0 / d for d in deltas])
     expo = float(np.polyfit(x, np.log(ratios), 1)[0])
     report(10, "kernel maximal growth in 1/delta", expo <= 0.1,
-            "exponent %.3f" % expo, t0, 900)
+            "exponent %.3f" % expo, t0, 900,
+           {"ratios": ratios, "exponent": expo})
 
 
 def test_criterion_11_littlewood_paley(disk_pair, report):
@@ -343,7 +387,7 @@ def test_criterion_11_littlewood_paley(disk_pair, report):
     ok &= stab < 0.25
     report(11, "Littlewood-Paley probes", ok,
             "tile exponent %.3f, dyadic drift %.1f%%" % (expo, 100 * stab),
-            t0, 600)
+            t0, 600, {"tile exponent": expo, "dyadic drift": stab})
 
 
 def test_criterion_12_multiplier_functional(report):
@@ -358,4 +402,5 @@ def test_criterion_12_multiplier_functional(report):
     ref = hormander_sobolev_norm(bump, 0.6, base_n=2 ** 17, ladder=1)
     ok &= abs(val - ref) / ref < 0.01
     report(12, "weighted multiplier functional", ok,
-            "bump %.6f vs ref %.6f" % (val, ref), t0, 60)
+            "bump %.6f vs ref %.6f" % (val, ref), t0, 60,
+           {"bump": val, "ref": ref})

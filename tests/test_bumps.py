@@ -3,10 +3,9 @@ import pytest
 import scipy.integrate
 
 from quasibr.bumps import (smoothstep, plateau, phi0, interval_bump,
-                           BumpLibrary, full_annulus_symbol,
-                           kernel_from_rho_symbol, kernel_annulus_l1,
-                           symbol_to_kernel)
-from quasibr.errors import ConfigError, ResolutionError
+                           BumpLibrary, full_annulus_symbol)
+from quasibr.errors import ResolutionError
+from quasibr.grid import kernel_from_rho_symbol, kernel_annulus_l1
 from quasibr.quasinorm import rho_omega_grid
 from quasibr.tiling import Tiling
 
@@ -63,29 +62,14 @@ def test_sigma_supported_near_tile(disk_pair):
     tiling = Tiling(disk_pair, delta)
     lib = BumpLibrary(tiling)
     k = tiling.size // 3
-    i, j = int(tiling.sector_idx[k]), int(tiling.j_idx[k])
-    m, n = int(tiling.m_idx[k]), int(tiling.n_idx[k])
     # far away in rho: zero
     rho = np.array([tiling.rho_hi[k] * 8.0, tiling.rho_lo[k] / 8.0])
     omega = np.full(2, 0.5 * (tiling.omega_lo[k] + tiling.omega_hi[k]))
-    assert np.all(lib.sigma(i, j, m, n, rho, omega) == 0.0)
+    assert np.all(lib.sigma(k, rho, omega) == 0.0)
     # far away in omega: zero
     rho = np.full(2, 0.5 * (tiling.rho_lo[k] + tiling.rho_hi[k]))
     omega = np.mod(omega + np.pi, 2 * np.pi) - np.pi
-    assert np.all(lib.sigma(i, j, m, n, rho, omega + np.pi) == 0.0)
-
-
-def test_sigma_rejects_indices_naming_no_member(disk_pair):
-    tiling = Tiling(disk_pair, 2.0 ** -4)
-    lib = BumpLibrary(tiling)
-    arcs = tiling.arcs
-    n_sectors = len(tiling.sectors)
-    rho, omega = np.ones(3), np.linspace(-np.pi, np.pi, 3)
-    j_last = int(arcs.j_idx[-1])  # retained in the last sector
-    j0 = int(arcs.j_idx[arcs.sector_idx == 0].max()) + 1  # not in sector 0
-    for i, j in ((-1, j_last), (n_sectors, j_last), (0, j0)):
-        with pytest.raises(ConfigError):
-            lib.sigma(i, j, 0, 0, rho, omega)
+    assert np.all(lib.sigma(k, rho, omega + np.pi) == 0.0)
 
 
 def test_kernel_parseval(disk_pair):
@@ -96,7 +80,7 @@ def test_kernel_parseval(disk_pair):
     vals = sym(rho)
     dxi = np.pi / L
     sym_l2 = np.sqrt(np.sum(np.abs(vals) ** 2) * dxi * dxi)
-    assert abs(kern.l2() - sym_l2 / (2 * np.pi)) < 1e-8 * sym_l2
+    assert abs(kern.norm(2) - sym_l2 / (2 * np.pi)) < 1e-8 * sym_l2
 
 
 def test_kernel_tail_monitor_raises(disk_pair):

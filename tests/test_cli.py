@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
-from quasibr import bumps, cli
+from quasibr import cli, grid
 
 
 def _run(argv):
@@ -188,7 +188,7 @@ def test_kernel_l1_rejects_indices_outside_the_tiling(tmp_path, capsys,
     def no_grid(*args, **kwargs):
         raise AssertionError("rho grid built for a rejected tile")
 
-    monkeypatch.setattr(bumps, "rho_omega_grid", no_grid)
+    monkeypatch.setattr(grid, "rho_omega_grid", no_grid)
     code = _run(["kernel-l1", "--indices=" + indices, "--grid", "64,6",
                  "--k-max", "2", "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -275,6 +275,9 @@ def _exit_code(argv):
         (["maximal-growth", "--lambda", "-1"], "--lambda must be positive"),
         (["maximal-growth", "--lambda", "1e-9"], "is below 2^-9"),
         (["maximal-growth", "--Ns", "8,1000000000"], "is below 2^-9"),
+        (["br-mean", "--grid", "65536,30"], "--grid: grid N must be an even"),
+        (["glambda-probe", "--Ns", "128,65536"],
+         "--Ns: grid size 65536 exceeds 4096"),
         (["br-mean", "--lambda", "nan"], "--lambda must be finite"),
         (["mult-norm", "--alpha", "nan"], "--alpha must be finite"),
         (["kernel-l1", "--k-min", "5", "--k-max", "2"],

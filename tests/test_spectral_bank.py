@@ -178,9 +178,7 @@ def test_kernel_maximal_matches_naive(disk_pair, lib, kind):
             span = np.mod(tiling.omega_hi[idx] + 0.1 - wl, 2 * np.pi)
             if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
                 continue
-            sym = lib.sigma(int(tiling.sector_idx[idx]), int(tiling.j_idx[idx]),
-                            int(tiling.m_idx[idx]), int(tiling.n_idx[idx]),
-                            rho, omega)
+            sym = lib.sigma(idx, rho, omega)
             lo = np.log(tiling.rho_lo[idx] / (1.0 + DELTA)) - step
             hi = np.log(tiling.rho_hi[idx] / (1.0 - DELTA)) + step
             for s in np.arange(lo, hi + step, step):
@@ -348,7 +346,7 @@ def _per_tile_lwp_pieces(bank, lib, applied):
 
 
 def _per_tile_kernel_pieces(bank, lib, delta, sigma, applied):
-    """The per-tile screen loop of kernel_maximal; records the (i, j, m, n)
+    """The per-tile screen loop of kernel_maximal; records the tile indices
     it evaluates sigma at."""
     tiling = lib.tiling
     rho_live, omega_live = _bank_live(bank)
@@ -366,10 +364,8 @@ def _per_tile_kernel_pieces(bank, lib, delta, sigma, applied):
         span = np.mod(wh - wl, 2 * np.pi)
         if not np.any(np.mod(omega_live[band] - wl, 2 * np.pi) <= span):
             continue
-        tile = (int(tiling.sector_idx[idx]), int(tiling.j_idx[idx]),
-                int(tiling.m_idx[idx]), int(tiling.n_idx[idx]))
-        applied.append(tile)
-        sym = sigma(lib, *tile, bank.rho, bank.omega)
+        applied.append(idx)
+        sym = sigma(lib, idx, bank.rho, bank.omega)
         cells = np.flatnonzero(sym)
         if cells.size == 0:
             continue
@@ -412,9 +408,9 @@ def test_kernel_maximal_applies_the_per_tile_screen_tiles(
         _per_tile_kernel_pieces(bank, lib, DELTA, sigma, want_tiles), "max")
     got_tiles = []
 
-    def recording(self, i, j, m, n, rho, omega):
-        got_tiles.append((int(i), int(j), int(m), int(n)))
-        return sigma(self, i, j, m, n, rho, omega)
+    def recording(self, idx, rho, omega):
+        got_tiles.append(int(idx))
+        return sigma(self, idx, rho, omega)
 
     monkeypatch.setattr(BumpLibrary, "sigma", recording)
     got = kernel_maximal(pair, DELTA, f, lib)

@@ -25,6 +25,20 @@ def test_sector_walk_closes(all_pairs):
                               0.0, atol=1e-9), name
 
 
+def test_index_names_each_tile_and_rejects_the_rest(disk_pair):
+    tiling = Tiling(disk_pair, 2.0 ** -4, n_range=(-1, 1))
+    names = zip(tiling.sector_idx, tiling.j_idx, tiling.m_idx, tiling.n_idx)
+    assert [tiling.index(*name) for name in names] == list(range(tiling.size))
+    arcs = tiling.arcs
+    j_last = int(arcs.j_idx[-1])  # retained in the last sector
+    j0 = int(arcs.j_idx[arcs.sector_idx == 0].max()) + 1  # not in sector 0
+    for name in ((-1, j_last, 0, 0), (len(tiling.sectors), j_last, 0, 0),
+                 (0, j0, 0, 0), (0, int(arcs.j_idx[0]), tiling.m_hi + 1, 0),
+                 (0, int(arcs.j_idx[0]), 0, 2)):
+        with pytest.raises(ConfigError, match="name no tile of the tiling"):
+            tiling.index(*name)
+
+
 @pytest.mark.parametrize("delta", [2.0 ** -4, 2.0 ** -5])
 def test_arcs_tile_each_sector_in_order(all_pairs, delta):
     # the layout BumpLibrary's per-arc tau steps rely on: sectors ascending,
